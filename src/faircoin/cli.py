@@ -13,19 +13,26 @@ import sys
 from fractions import Fraction
 
 from . import pricing, verify
-from .game import GameTrace, NumericMode, fmt_number, run_game
-from .reality import parse_reality
+from .game import GameError, GameTrace, NumericMode, fmt_number, run_game
+from .pricing import PricingError
+from .reality import RealityError, parse_reality
 from .stopping import event_report, excursions
-from .strategies import parse_strategy
+from .strategies import StrategyError, parse_strategy
+from .verify import VerifyError
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit codes: 0 ok, 1 a check failed, 2 a usage
+    or domain error (argparse's own usage errors also exit 2)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:
         return 1
+    except (GameError, PricingError, RealityError, StrategyError, VerifyError) as exc:
+        print(f"faircoin: {exc}", file=sys.stderr)
+        return 2
 
 
 def build_parser() -> argparse.ArgumentParser:

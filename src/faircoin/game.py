@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -216,18 +218,34 @@ class GameTrace:
 
 
 def fmt_number(v) -> str:
-    """Rationals serialize as "num/den"; floats use repr round-tripping."""
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, int):
-        return f"{v}/1"
+    """Rationals serialize as "num/den"; floats use repr round-tripping.
+
+    str(int) refuses more digits than sys.get_int_max_str_digits(); such
+    numbers go through Decimal, which converts integers exactly and without
+    that limit.
+    """
+    if isinstance(v, (Fraction, int)):
+        try:
+            return f"{v.numerator}/{v.denominator}"
+        except ValueError:
+            return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
     return repr(float(v))
+
+
+_INTEGER_RATIO = re.compile(r"[-+]?\d+(/\d+)?")
 
 
 def parse_number(text: str, mode: NumericMode = NumericMode.EXACT):
     if mode is NumericMode.FLOAT64:
         return float(Fraction(text)) if "/" in text else float(text)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        # past the int digit limit, "num/den" is read through Decimal
+        if not _INTEGER_RATIO.fullmatch(text):
+            raise
+        num, _, den = text.partition("/")
+        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
 def play_round(trace: GameTrace, stake, move: int) -> GameTrace:

@@ -2,11 +2,15 @@
 
 The ticket with offset l pays 1 when the walk first satisfies
 |s_n| > sqrt(n + l) - 1 with s_n < 0, pays 0 when it first does so with
-s_n > 0.  The claim is Markov in (n, s): value tables are built by
-backward induction over the live strip, absorption statistics by forward
-sweeps over the same strip.  All values are dyadic rationals, stored as
-integer numerators against a per-level power-of-two scale, so nothing is
-ever rounded.
+s_n > 0.  The claim is Markov in (n, s), and all the work here is over the
+live strip: the states reachable from the root through unabsorbed states,
+with (|s| + 1)^2 <= n + l.  At round n the live sums form one parity class,
+s = -w_n, -w_n + 2, ..., w_n, so the strip is the list of half-widths w_n,
+found with one ``isqrt`` per level (``_strip_widths``).  Value tables are
+built by backward induction over the strip and absorption statistics by
+one forward sweep (``_absorption_sweep``).  All values are dyadic
+rationals, stored as integer numerators against a per-level power-of-two
+scale, so nothing is ever rounded.
 
 Infinite-horizon upper prices are represented as brackets: the backward
 induction is run once with tail value 0 and once with tail value 1 at the
@@ -19,11 +23,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .stopping import boundary_exceeds
-
-DEFAULT_CENSUS_CAP = int(os.environ.get("FAIRCOIN_CENSUS_CAP", "26"))
-DEFAULT_REPLICATION_CAP = int(os.environ.get("FAIRCOIN_REPLICATION_CAP", "20"))
 
 TAIL_VALUES = ("zero", "one", "half")
 
@@ -39,17 +41,34 @@ def _absorbed_payoff(s: int, payoff_side: str) -> int:
     return 1 if s > 0 else 0
 
 
-def _live_levels(l: int, horizon: int) -> list[dict[int, None]]:
-    """Reachable, not-yet-absorbed states per level, as ordered s -> None."""
-    levels: list[dict[int, None]] = [{0: None}]
+def _strip_widths(l: int, horizon: int) -> list[int]:
+    """Half-width w_n of the live strip for n = 0..horizon, -1 once empty.
+
+    Round n can widen the strip by one step from round n - 1, up to the
+    boundary radius isqrt(n + l) - 1, and keeps the parity of n.
+    """
+    widths = [0]
     for n in range(1, horizon + 1):
-        level: dict[int, None] = {}
-        for s in levels[n - 1]:
-            for c in (s - 1, s + 1):
-                if c not in level and not boundary_exceeds(n, c, l):
-                    level[c] = None
-        levels.append(level)
-    return levels
+        w = widths[-1]
+        if w >= 0:
+            w = min(isqrt(n + l) - 1, w + 1)
+            w -= (w - n) % 2
+        widths.append(w)
+    return widths
+
+
+def _absorption_sweep(l: int, horizon: int):
+    """Yield (new_neg, new_pos) for n = 1..horizon: how many of the 2**n
+    paths are first absorbed at round n below and above the strip."""
+    widths = _strip_widths(l, horizon)
+    counts = [1]  # paths to each live state, indexed by (s + w_n) // 2
+    for n in range(1, horizon + 1):
+        if widths[n] > widths[n - 1]:  # every child is live
+            counts = [0, *counts, 0]
+            yield 0, 0
+        else:  # the outermost states each lose one child
+            yield (counts[0], counts[-1]) if counts else (0, 0)
+        counts = [a + b for a, b in zip(counts, counts[1:])]
 
 
 @dataclass
@@ -64,10 +83,12 @@ class EtaTable:
     horizon: int
     tail_value: str
     payoff_side: str
-    _levels: list[dict[int, int]]  # numerators at scale 2**(horizon - n + 1)
+    _widths: list[int]  # strip half-widths, see _strip_widths
+    # numerators at scale 2**(horizon - n + 1), indexed by (s + w_n) // 2
+    _levels: list[list[int]]
 
     def is_live(self, n: int, s: int) -> bool:
-        return 0 <= n <= self.horizon and s in self._levels[n]
+        return 0 <= n <= self.horizon and abs(s) <= self._widths[n] and (s - n) % 2 == 0
 
     def _scale_bits(self, n: int) -> int:
         return self.horizon - n + 1
@@ -76,13 +97,14 @@ class EtaTable:
         """Price at a live state (n, s)."""
         if not self.is_live(n, s):
             raise PricingError(f"state (n={n}, s={s}) is not live in this table")
-        return Fraction(self._levels[n][s], 1 << self._scale_bits(n))
+        return Fraction(self._levels[n][(s + self._widths[n]) // 2],
+                        1 << self._scale_bits(n))
 
     def child_value(self, n: int, s: int) -> Fraction:
         """Value of the state (n, s) seen as a child: payoff if absorbed."""
         if n < 1 or n > self.horizon:
             raise PricingError(f"round {n} outside table horizon {self.horizon}")
-        if s in self._levels[n]:
+        if self.is_live(n, s):
             return self.value(n, s)
         if boundary_exceeds(n, s, self.l):
             return Fraction(_absorbed_payoff(s, self.payoff_side))
@@ -110,23 +132,21 @@ def eta_table(l: int, horizon: int, tail_value: str = "zero",
     if payoff_side not in ("negative", "positive"):
         raise PricingError("payoff_side must be 'negative' or 'positive'")
 
-    live = _live_levels(l, horizon)
-    levels: list[dict[int, int]] = [dict.fromkeys(lv, 0) for lv in live]
+    widths = _strip_widths(l, horizon)
     tail_num = {"zero": 0, "one": 2, "half": 1}[tail_value]  # scale 2**1
-    for s in levels[horizon]:
-        levels[horizon][s] = tail_num
+    levels = [[tail_num] * (widths[horizon] + 1)]
     for n in range(horizon - 1, -1, -1):
-        child_bits = horizon - n  # scale of level n+1 numerators
-        for s in levels[n]:
-            total = 0
-            for c in (s - 1, s + 1):
-                if c in levels[n + 1]:
-                    total += levels[n + 1][c]
-                else:
-                    total += _absorbed_payoff(c, payoff_side) << child_bits
-            levels[n][s] = total  # parent scale is 2 * child scale
+        child, w = levels[-1], widths[n]
+        if widths[n + 1] < w:
+            # the outermost children are absorbed: pad with their payoffs
+            # at the child scale 2**(horizon - n)
+            child_bits = horizon - n
+            child = [_absorbed_payoff(-w - 1, payoff_side) << child_bits, *child,
+                     _absorbed_payoff(w + 1, payoff_side) << child_bits]
+        levels.append([a + b for a, b in zip(child, child[1:])])  # parent scale doubles
+    levels.reverse()
     return EtaTable(l=l, horizon=horizon, tail_value=tail_value,
-                    payoff_side=payoff_side, _levels=levels)
+                    payoff_side=payoff_side, _widths=widths, _levels=levels)
 
 
 def delta_hedge_bet(table: EtaTable, n: int, s: int) -> Fraction:
@@ -170,25 +190,12 @@ def bracket_series(l: int, horizon: int) -> list[PriceBracket]:
     if horizon < 1:
         raise PricingError("horizon must be >= 1")
     out: list[PriceBracket] = []
-    counts = {0: 1}  # paths to each live state, at weight scale 2**-n
-    neg = Fraction(0)
-    pos = Fraction(0)
-    for n in range(1, horizon + 1):
-        nxt: dict[int, int] = {}
-        new_neg = new_pos = 0
-        for s, c in counts.items():
-            for child in (s - 1, s + 1):
-                if boundary_exceeds(n, child, l):
-                    if child < 0:
-                        new_neg += c
-                    else:
-                        new_pos += c
-                else:
-                    nxt[child] = nxt.get(child, 0) + c
-        neg += Fraction(new_neg, 1 << n)
-        pos += Fraction(new_pos, 1 << n)
-        counts = nxt
-        out.append(PriceBracket(l=l, horizon=n, lower=neg, upper=1 - pos))
+    neg = pos = 0  # absorbed mass numerators at scale 2**n
+    for n, (new_neg, new_pos) in enumerate(_absorption_sweep(l, horizon), start=1):
+        neg = 2 * neg + new_neg
+        pos = 2 * pos + new_pos
+        out.append(PriceBracket(l=l, horizon=n, lower=Fraction(neg, 1 << n),
+                                upper=Fraction((1 << n) - pos, 1 << n)))
     return out
 
 
@@ -215,33 +222,16 @@ class AbsorptionCensus:
         return Fraction(self.b_k, 1 << self.k)
 
 
-def enumerate_absorption(l: int, k: int, cap: int | None = None) -> AbsorptionCensus:
+def enumerate_absorption(l: int, k: int) -> AbsorptionCensus:
     """Exact absorption counts a_1..a_k via a level sweep of the live strip.
 
     Equivalent to depth-first traversal of live prefixes with absorbed
     subtrees pruned, but carries path multiplicities per (n, s) state so
     the cost is O(k^1.5) instead of the number of live nodes.
     """
-    cap = DEFAULT_CENSUS_CAP if cap is None else cap
-    if k > cap:
-        raise PricingError(f"census depth {k} exceeds cap {cap}")
     if k < 1:
         raise PricingError("census depth must be >= 1")
-    a: list[int] = []
-    counts = {0: 1}
-    for n in range(1, k + 1):
-        nxt: dict[int, int] = {}
-        new_neg = 0
-        for s, c in counts.items():
-            for child in (s - 1, s + 1):
-                if boundary_exceeds(n, child, l):
-                    if child < 0:
-                        new_neg += c
-                else:
-                    nxt[child] = nxt.get(child, 0) + c
-        a.append(new_neg)
-        counts = nxt
-    return AbsorptionCensus(l=l, k=k, a=tuple(a))
+    return AbsorptionCensus(l=l, k=k, a=tuple(neg for neg, _ in _absorption_sweep(l, k)))
 
 
 def absorbed_negative_situations(l: int, k: int) -> list[tuple[int, ...]]:
@@ -302,7 +292,13 @@ def replicate_and_verify(l: int, horizon: int, cap: int | None = None) -> dict:
     exactly 1 on every absorbed-negative cylinder and stays nonnegative.
     Raises PricingError on any violation.
     """
-    cap = DEFAULT_REPLICATION_CAP if cap is None else cap
+    if cap is None:
+        text = os.environ.get("FAIRCOIN_REPLICATION_CAP", "20")
+        try:
+            cap = int(text)
+        except ValueError:
+            raise PricingError(
+                f"FAIRCOIN_REPLICATION_CAP must be an integer, got {text!r}") from None
     if horizon > cap:
         raise PricingError(f"replication horizon {horizon} exceeds cap {cap}")
     table = eta_table(l, horizon, "one")
@@ -335,7 +331,7 @@ def replicate_and_verify(l: int, horizon: int, cap: int | None = None) -> dict:
 
     # path-bettor portfolio
     targets = absorbed_negative_situations(l, horizon)
-    census = enumerate_absorption(l, horizon, cap=max(horizon, DEFAULT_CENSUS_CAP))
+    census = enumerate_absorption(l, horizon)
     trie = _BettorTrie.build(targets)
     if trie.mass != census.budget_sum:
         raise PricingError("portfolio cost disagrees with absorption census")

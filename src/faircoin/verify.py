@@ -26,7 +26,6 @@ from .strategies import (
     StoppedAdditive,
 )
 
-DEFAULT_EXHAUSTIVE_CAP = int(os.environ.get("FAIRCOIN_EXHAUSTIVE_CAP", "22"))
 LOG_BOUND_SLACK = 1e-9
 
 
@@ -174,7 +173,13 @@ def additive_closed_form_check(prefix, eps) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 def _cap(depth: int, cap: int | None) -> None:
-    cap = DEFAULT_EXHAUSTIVE_CAP if cap is None else cap
+    if cap is None:
+        text = os.environ.get("FAIRCOIN_EXHAUSTIVE_CAP", "22")
+        try:
+            cap = int(text)
+        except ValueError:
+            raise VerifyError(
+                f"FAIRCOIN_EXHAUSTIVE_CAP must be an integer, got {text!r}") from None
     if depth > cap:
         raise VerifyError(f"exhaustive depth {depth} exceeds cap {cap}")
     if depth < 1:

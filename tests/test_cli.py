@@ -8,6 +8,7 @@ import pytest
 
 from faircoin.cli import main
 from faircoin.game import GameTrace
+from faircoin.strategies import StrategyError, parse_strategy
 from faircoin.verify import product_capital
 
 
@@ -144,10 +145,22 @@ def test_excursions_requires_one_source(capsys):
     assert code == 2
 
 
-def test_bad_strategy_spec_raises():
-    with pytest.raises(Exception):
-        main(["simulate", "--strategy", "nope", "--reality", "alt",
-              "--horizon", "1"])
+def test_bad_strategy_spec_raises(capsys):
+    with pytest.raises(StrategyError):
+        parse_strategy("nope")
+    code = main(["simulate", "--strategy", "nope", "--reality", "alt",
+                 "--horizon", "1"])
+    assert code == 2
+    assert "unknown strategy spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["census", "--l", "4", "--k", "0"],
+                                  ["price", "--l", "0", "--horizon", "0"]])
+def test_domain_error_exits_2_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_identical_configs_identical_output(capsys):

@@ -157,6 +157,21 @@ def test_jsonl_round_trip():
     assert back.rounds == trace.rounds
 
 
+def test_numbers_past_int_digit_limit_round_trip():
+    # 2**14400 has 4335 digits, over the default limit of str(int)
+    tiny = Fraction(1, 1 << 14400)
+    text = fmt_number(tiny)
+    assert len(text) == len("1/") + 4335
+    assert parse_number(text) == tiny
+    trace = GameTrace(initial_capital=Fraction(1))
+    trace.play(tiny, 1)
+    trace.play(-3 * tiny, -1)
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    buf.seek(0)
+    assert GameTrace.read_csv(buf).rounds == trace.rounds
+
+
 def test_csv_rejects_bad_header():
     with pytest.raises(GameError):
         GameTrace.read_csv(io.StringIO("a,b,c\n"))

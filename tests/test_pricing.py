@@ -17,6 +17,7 @@ from faircoin.pricing import (
     upper_price_bracket,
 )
 from faircoin.stopping import TicketStatus, boundary_exceeds, ticket_Y
+from test_acceptance import _absorbed_negative_full_count
 
 
 # -- eta tables -------------------------------------------------------------
@@ -30,6 +31,20 @@ def test_eta_l0_root_is_half():
 def test_eta_l4_hand_values():
     assert eta_table(4, 2).root_value == Fraction(1, 4)
     assert eta_table(4, 4).root_value == Fraction(3, 8)
+
+
+# offsets from 15 up let the boundary outrun the walk's reach in the first rounds
+@given(st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=40))
+@settings(deadline=None, max_examples=80)
+def test_strip_matches_reachable_unabsorbed_states(l, horizon):
+    table = eta_table(l, horizon)
+    live = {0}
+    for n in range(horizon + 1):
+        if n:
+            live = {c for s in live for c in (s - 1, s + 1)
+                    if not boundary_exceeds(n, c, l)}
+        for s in range(-horizon - 1, horizon + 2):
+            assert table.is_live(n, s) == (s in live), (n, s)
 
 
 def test_eta_rejects_bad_args():
@@ -169,8 +184,13 @@ def test_census_l4():
 
 
 def test_census_cap():
-    with pytest.raises(PricingError):
-        enumerate_absorption(0, 5, cap=4)
+    # the census has no depth cap: k = 40 is checked against the acceptance
+    # gate's independent whole-sequence count
+    for l in (0, 1, 4, 9):
+        census = enumerate_absorption(l, 40)
+        for k in range(1, 41):
+            b_k = sum(a << (k - i) for i, a in enumerate(census.a[:k], start=1))
+            assert b_k == _absorbed_negative_full_count(l, k)
 
 
 @given(st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=12))
@@ -229,3 +249,9 @@ def test_replicate_portfolio_cost_example():
 def test_replicate_cap():
     with pytest.raises(PricingError):
         replicate_and_verify(0, 21, cap=20)
+
+
+def test_replication_cap_env_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("FAIRCOIN_REPLICATION_CAP", "abc")
+    with pytest.raises(PricingError, match="FAIRCOIN_REPLICATION_CAP"):
+        replicate_and_verify(0, 1)

@@ -1,13 +1,18 @@
 """Oracles and exhaustive identity sweeps."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faircoin
 from faircoin.strategies import AdditiveContrarian, MultiplicativeContrarian
 from faircoin.verify import (
     CHECKS,
@@ -118,6 +123,17 @@ def test_exhaustive_registry_and_caps():
         exhaustive(40, "summation-identity")
     with pytest.raises(VerifyError):
         exhaustive(0, "summation-identity")
+
+
+def test_bad_env_caps_fail_at_use_not_at_import(monkeypatch):
+    env = dict(os.environ, FAIRCOIN_EXHAUSTIVE_CAP="abc", FAIRCOIN_REPLICATION_CAP="abc",
+               PYTHONPATH=str(Path(faircoin.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", "import faircoin"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    monkeypatch.setenv("FAIRCOIN_EXHAUSTIVE_CAP", "abc")
+    with pytest.raises(VerifyError, match="FAIRCOIN_EXHAUSTIVE_CAP"):
+        exhaustive(6, "summation-identity")
 
 
 def test_report_serialization():
