@@ -12,8 +12,6 @@ from .game import (
     NumericMode,
     Situation,
     check_collateral,
-    play_round,
-    process_values,
     run_game,
 )
 from .pricing import (

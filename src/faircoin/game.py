@@ -28,6 +28,9 @@ class GameError(Exception):
     """Protocol-level failure (bad move, float overflow, ...)."""
 
 
+ZERO = Fraction(0)  # the stake of an idle round; Fractions are immutable, so one is shared
+
+
 class NumericMode(Enum):
     EXACT = "exact"
     FLOAT64 = "float64"
@@ -37,6 +40,19 @@ def validate_move(x: int) -> int:
     if x not in (-1, 1):
         raise GameError(f"move must be -1 or +1, got {x!r}")
     return x
+
+
+def settle(k, stake, x: int):
+    """The account k after a round: k + stake * x.
+
+    An exact zero stake on an exact account returns k itself and does no
+    rational arithmetic, so idle rounds stay cheap.  Every other pairing
+    takes the sum, which keeps its number type: a float zero stake still
+    turns a Fraction account into a float.
+    """
+    if stake or type(stake) is not Fraction or type(k) is not Fraction:
+        return k + stake * x
+    return k
 
 
 def moves_of(prefix) -> tuple[int, ...]:
@@ -95,24 +111,6 @@ class Situation:
         return Fraction(self.s, self.n) if self.moves else Fraction(0)
 
 
-EMPTY = Situation()
-
-
-@dataclass(frozen=True)
-class ProcessValues:
-    n: int
-    s: int
-    xbar: Fraction
-
-
-def process_values(prefix) -> ProcessValues:
-    """Sum and average of a situation; the empty situation maps to (0, 0, 0)."""
-    moves = moves_of(prefix)
-    n = len(moves)
-    s = sum(moves)
-    return ProcessValues(n=n, s=s, xbar=Fraction(s, n) if n else Fraction(0))
-
-
 @dataclass(frozen=True)
 class Round:
     n: int
@@ -147,7 +145,7 @@ class GameTrace:
         return tuple(r.x for r in self.rounds)
 
     def _zero(self):
-        return 0.0 if self.mode is NumericMode.FLOAT64 else Fraction(0)
+        return 0.0 if self.mode is NumericMode.FLOAT64 else ZERO
 
     def play(self, stake, move: int) -> "GameTrace":
         validate_move(move)
@@ -157,7 +155,7 @@ class GameTrace:
         n = (prev.n if prev else 0) + 1
         if self.mode is NumericMode.FLOAT64:
             stake = float(stake)
-        capital = k_prev + stake * move
+        capital = settle(k_prev, stake, move)
         if self.mode is NumericMode.FLOAT64 and not math.isfinite(capital):
             raise GameError(f"capital overflowed float64 range at round {n}")
         self.rounds.append(Round(n=n, x=move, stake=stake, capital=capital, s=s_prev + move))
@@ -194,9 +192,7 @@ class GameTrace:
             raise GameError(f"unexpected CSV header {header!r}")
         trace = cls(initial_capital=initial_capital, mode=mode)
         for row in reader:
-            n, x, m, k, s = row
-            trace.rounds.append(Round(n=int(n), x=int(x), stake=parse_number(m, mode),
-                                      capital=parse_number(k, mode), s=int(s)))
+            trace._append_read(f"CSV line {reader.line_num}", row)
         return trace
 
     def write_jsonl(self, f: IO[str]) -> None:
@@ -208,13 +204,32 @@ class GameTrace:
     def read_jsonl(cls, f: IO[str], initial_capital=Fraction(1),
                    mode: NumericMode = NumericMode.EXACT) -> "GameTrace":
         trace = cls(initial_capital=initial_capital, mode=mode)
-        for line in f:
+        for i, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            d = json.loads(line)
-            trace.rounds.append(Round(n=d["n"], x=d["x"], stake=parse_number(d["M"], mode),
-                                      capital=parse_number(d["K"], mode), s=d["s"]))
+            try:
+                d = json.loads(line)
+                row = [str(d[c]) for c in cls.CSV_COLUMNS]  # as text, like a CSV row
+            except (ValueError, KeyError, TypeError) as exc:
+                raise GameError(f"JSONL line {i}: {exc!r}") from None
+            trace._append_read(f"JSONL line {i}", row)
         return trace
+
+    def _append_read(self, where: str, row) -> None:
+        """Append a read row (n, x, M, K, s) if it continues the trace: n
+        counts up by one, x is +-1, s moves by x and K by M * x, compared
+        exactly in either mode (a written float round-trips through repr)."""
+        try:
+            n, x, m, k, s = row
+            n, x, s = int(n), int(x), int(s)
+            m, k = parse_number(m, self.mode), parse_number(k, self.mode)
+        except (ValueError, ArithmeticError) as exc:
+            raise GameError(f"{where}: cannot read row {row!r}: {exc}") from None
+        prev = self.rounds[-1] if self.rounds else Round(0, 0, 0, self._zero(), 0)
+        if n != prev.n + 1 or x not in (-1, 1) or s != prev.s + x or k != prev.capital + m * x:
+            raise GameError(f"{where}: row {row!r} does not follow round n={prev.n}, "
+                            f"s={prev.s}, K={fmt_number(prev.capital)}")
+        self.rounds.append(Round(n=n, x=x, stake=m, capital=k, s=s))
 
 
 def fmt_number(v) -> str:
@@ -248,18 +263,12 @@ def parse_number(text: str, mode: NumericMode = NumericMode.EXACT):
         return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
-def play_round(trace: GameTrace, stake, move: int) -> GameTrace:
-    """Append one protocol round: K_n = K_{n-1} + stake * move."""
-    return trace.play(stake, move)
-
-
 def run_game(strategy, reality, horizon: int, initial_capital=Fraction(1),
-             mode: NumericMode = NumericMode.EXACT, record: bool = True) -> GameTrace:
+             mode: NumericMode = NumericMode.EXACT) -> GameTrace:
     """Play ``horizon`` rounds of the protocol.
 
     The strategy sees x_1..x_{n-1} through its own observe() calls before
-    announcing M_n; Reality sees M_n before announcing x_n.  With
-    ``record=False`` only the final round is kept (long float runs).
+    announcing M_n; Reality sees M_n before announcing x_n.
     """
     if horizon < 0:
         raise GameError("horizon must be >= 0")
@@ -272,8 +281,6 @@ def run_game(strategy, reality, horizon: int, initial_capital=Fraction(1),
         trace.play(stake, move)
         strategy.observe(move)
         history.append(move)
-        if not record and len(trace.rounds) > 1:
-            trace.rounds.pop(0)
     return trace
 
 

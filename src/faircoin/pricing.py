@@ -102,12 +102,16 @@ class EtaTable:
 
     def child_value(self, n: int, s: int) -> Fraction:
         """Value of the state (n, s) seen as a child: payoff if absorbed."""
+        return Fraction(self._child_numerator(n, s), 1 << self._scale_bits(n))
+
+    def _child_numerator(self, n: int, s: int) -> int:
+        """child_value(n, s) as a numerator at scale 2**_scale_bits(n)."""
         if n < 1 or n > self.horizon:
             raise PricingError(f"round {n} outside table horizon {self.horizon}")
         if self.is_live(n, s):
-            return self.value(n, s)
+            return self._levels[n][(s + self._widths[n]) // 2]
         if boundary_exceeds(n, s, self.l):
-            return Fraction(_absorbed_payoff(s, self.payoff_side))
+            return _absorbed_payoff(s, self.payoff_side) << self._scale_bits(n)
         raise PricingError(f"state (n={n}, s={s}) unreachable in this table")
 
     @property
@@ -155,7 +159,10 @@ def delta_hedge_bet(table: EtaTable, n: int, s: int) -> Fraction:
         raise PricingError(f"cannot hedge at non-live state (n={n}, s={s})")
     if n + 1 > table.horizon:
         raise PricingError("hedge bet would look past the table horizon")
-    return (table.child_value(n + 1, s + 1) - table.child_value(n + 1, s - 1)) / 2
+    # (up - down) / 2 with both children at scale 2**(horizon - n)
+    up = table._child_numerator(n + 1, s + 1)
+    down = table._child_numerator(n + 1, s - 1)
+    return Fraction(up - down, 2 << table._scale_bits(n + 1))
 
 
 @dataclass(frozen=True)

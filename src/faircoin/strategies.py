@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import pricing
+from .game import ZERO, settle
 from .stopping import boundary_exceeds
 
 
@@ -29,9 +30,8 @@ class Strategy:
 
     def __init__(self, initial_capital=Fraction(1), exact: bool = True):
         self.exact = exact
-        zero = Fraction(0) if exact else 0.0
         self.initial_capital = _rat(initial_capital) if exact else float(initial_capital)
-        self.gain = zero
+        self.gain = self._zero()
         self.n = 0
         self.s = 0
         self.stopped = False
@@ -51,17 +51,15 @@ class Strategy:
     def observe(self, x: int) -> None:
         if x not in (-1, 1):
             raise StrategyError(f"move must be -1 or +1, got {x!r}")
-        if self._pending is None:
-            # spectator update: treat as a zero stake
-            self._pending = self._zero()
-        self.gain += self._pending * x
-        self._pending = None
+        if self._pending is not None:  # else a spectator update: a zero stake
+            self.gain = settle(self.gain, self._pending, x)
+            self._pending = None
         self.n += 1
         self.s += x
         self._after(x)
 
     def _zero(self):
-        return Fraction(0) if self.exact else 0.0
+        return ZERO if self.exact else 0.0
 
     def _stake(self):
         raise NotImplementedError
@@ -318,7 +316,7 @@ class SignForcing(Strategy):
 
     def _stake(self):
         if self.phase != "hedging" or self._table is None:
-            return Fraction(0)
+            return ZERO
         rel = self.n - self._w
         return self._w_wealth * pricing.delta_hedge_bet(self._table, rel, self.s)
 

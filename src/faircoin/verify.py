@@ -36,6 +36,8 @@ class VerifyError(Exception):
 @dataclass(frozen=True)
 class IdentityReport:
     identity: str
+    # full-length paths whose checks ran: all 2**depth unless the walk
+    # stopped at a counterexample
     paths_checked: int
     max_discrepancy: Fraction | float
     counterexample: tuple[int, ...] | None = None
@@ -97,13 +99,6 @@ def summation_identity_sides(prefix) -> tuple[Fraction, Fraction]:
             b += Fraction(x * x, i - 1)
     rhs = a / 2 + Fraction(n, 2) * Fraction(s, n) ** 2 - b / 2
     return lhs, rhs
-
-
-def summation_identity_check(prefix) -> IdentityReport:
-    lhs, rhs = summation_identity_sides(prefix)
-    disc = abs(lhs - rhs)
-    return IdentityReport("summation-identity", 1, disc,
-                          None if disc == 0 else moves_of(prefix))
 
 
 def log_capital_bound_margin(prefix, c) -> float:
@@ -186,21 +181,25 @@ def _cap(depth: int, cap: int | None) -> None:
         raise VerifyError("exhaustive depth must be >= 1")
 
 
-def _report(identity: str, depth: int, failure) -> IdentityReport:
+def _report(identity: str, leaves: int, failure) -> IdentityReport:
     if failure is None:
-        return IdentityReport(identity, 1 << depth, Fraction(0))
+        return IdentityReport(identity, leaves, Fraction(0))
     disc, path = failure
-    return IdentityReport(identity, 1 << depth, disc, tuple(path))
+    return IdentityReport(identity, leaves, disc, tuple(path))
 
 
 def exhaustive_product_check(c, depth: int, cap: int | None = None) -> IdentityReport:
     """Engine capital == direct product, every factor > 0, all paths."""
     _cap(depth, cap)
     c = Fraction(c)
+    leaves = 0
 
     def rec(strat, prod, n, s, path):
+        nonlocal leaves
         strat.next_stake()
         for x in (-1, 1):
+            if n + 1 == depth:
+                leaves += 1
             factor = 1 - c * Fraction(s, n) * x if n else Fraction(1)
             if factor <= 0:
                 return (Fraction(1), path + [x])
@@ -217,15 +216,19 @@ def exhaustive_product_check(c, depth: int, cap: int | None = None) -> IdentityR
         return None
 
     failure = rec(MultiplicativeContrarian(c), Fraction(1), 0, 0, [])
-    return _report("product-capital", depth, failure)
+    return _report("product-capital", leaves, failure)
 
 
 def exhaustive_summation_check(depth: int, cap: int | None = None) -> IdentityReport:
     """The partial-summation identity, checked at every node of depth >= 2."""
     _cap(depth, cap)
+    leaves = 0
 
     def rec(n, s, lhs, a, b, path):
+        nonlocal leaves
         for x in (-1, 1):
+            if n + 1 == depth:
+                leaves += 1
             lhs2 = lhs + (Fraction(s, n) * x if n else Fraction(0))
             n2, s2 = n + 1, s + x
             a2 = a + (Fraction(n2, n2 - 1) * Fraction(s2, n2) ** 2 if n2 >= 2 else Fraction(0))
@@ -241,7 +244,7 @@ def exhaustive_summation_check(depth: int, cap: int | None = None) -> IdentityRe
         return None
 
     failure = rec(0, 0, Fraction(0), Fraction(0), Fraction(0), [])
-    return _report("summation-identity", depth, failure)
+    return _report("summation-identity", leaves, failure)
 
 
 def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK,
@@ -249,9 +252,13 @@ def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK,
     """Float check of the log capital lower bound at every node of depth >= 2."""
     _cap(depth, cap)
     cf = float(Fraction(c))
+    leaves = 0
 
     def rec(n, s, log_k, a, b, path):
+        nonlocal leaves
         for x in (-1, 1):
+            if n + 1 == depth:
+                leaves += 1
             if n:
                 xbar_prev = s / n
                 log_k2 = log_k + math.log(1.0 - cf * xbar_prev * x)
@@ -271,17 +278,21 @@ def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK,
         return None
 
     failure = rec(0, 0, 0.0, 0.0, 0.0, [])
-    return _report("log-lower-bound", depth, failure)
+    return _report("log-lower-bound", leaves, failure)
 
 
 def exhaustive_additive_check(eps, depth: int, cap: int | None = None) -> IdentityReport:
     """Engine capital of the unstopped additive bettor == (eps/2)(n - s^2)."""
     _cap(depth, cap)
     eps = Fraction(eps)
+    leaves = 0
 
     def rec(strat, path):
+        nonlocal leaves
         strat.next_stake()
         for x in (-1, 1):
+            if strat.n + 1 == depth:
+                leaves += 1
             child = strat.clone()
             child.observe(x)
             expect = additive_capital(child.n, child.s, eps)
@@ -295,17 +306,21 @@ def exhaustive_additive_check(eps, depth: int, cap: int | None = None) -> Identi
         return None
 
     failure = rec(AdditiveContrarian(eps), [])
-    return _report("additive-closed-form", depth, failure)
+    return _report("additive-closed-form", leaves, failure)
 
 
 def exhaustive_stopped_additive_check(eps, depth: int, cap: int | None = None) -> IdentityReport:
     """Stop-rule bettor: wealth >= 0 always; Lemma-form capital while unstopped."""
     _cap(depth, cap)
     eps = Fraction(eps)
+    leaves = 0
 
     def rec(strat, path):
+        nonlocal leaves
         strat.next_stake()
         for x in (-1, 1):
+            if strat.n + 1 == depth:
+                leaves += 1
             child = strat.clone()
             child.observe(x)
             if child.wealth < 0:
@@ -320,7 +335,7 @@ def exhaustive_stopped_additive_check(eps, depth: int, cap: int | None = None) -
         return None
 
     failure = rec(StoppedAdditive(eps), [])
-    return _report("stopped-additive-collateral", depth, failure)
+    return _report("stopped-additive-collateral", leaves, failure)
 
 
 def exhaustive_one_sided_check(N: int, direction: str, depth: int,
@@ -328,10 +343,14 @@ def exhaustive_one_sided_check(N: int, direction: str, depth: int,
     """One-sided capital: +-s_n/N before the hit, -1 at and after; wealth >= 0."""
     _cap(depth, cap)
     sign = 1 if direction == "down" else -1
+    leaves = 0
 
     def rec(strat, hit, path):
+        nonlocal leaves
         strat.next_stake()
         for x in (-1, 1):
+            if strat.n + 1 == depth:
+                leaves += 1
             child = strat.clone()
             child.observe(x)
             hit2 = hit or (sign * child.s <= -N)
@@ -346,7 +365,7 @@ def exhaustive_one_sided_check(N: int, direction: str, depth: int,
         return None
 
     failure = rec(OneSided(N, direction), False, [])
-    return _report(f"one-sided-capital-{direction}-{N}", depth, failure)
+    return _report(f"one-sided-capital-{direction}-{N}", leaves, failure)
 
 
 CHECKS = {

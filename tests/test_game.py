@@ -4,7 +4,7 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircoin.game import (
@@ -15,12 +15,15 @@ from faircoin.game import (
     check_collateral,
     fmt_number,
     parse_number,
-    play_round,
-    process_values,
     run_game,
 )
 from faircoin.reality import Alternating, FixedPath
-from faircoin.strategies import MultiplicativeContrarian, ZeroStrategy
+from faircoin.strategies import (
+    AdditiveContrarian,
+    MultiplicativeContrarian,
+    ZeroStrategy,
+    parse_strategy,
+)
 from faircoin.verify import product_capital
 
 moves_lists = st.lists(st.sampled_from([-1, 1]), max_size=40)
@@ -39,13 +42,13 @@ class ConstantStake:
 
 def test_play_round_arithmetic():
     t = GameTrace()
-    play_round(t, Fraction(1), 1)
+    t.play(Fraction(1), 1)
     assert t.final_capital == 1
-    play_round(t, Fraction(0), -1)
+    t.play(Fraction(0), -1)
     assert t.final_capital == 1
     t2 = GameTrace()
-    play_round(t2, Fraction(1), 1)
-    play_round(t2, Fraction(-1, 2), 1)
+    t2.play(Fraction(1), 1)
+    t2.play(Fraction(-1, 2), 1)
     assert t2.final_capital == Fraction(1, 2)
 
 
@@ -55,18 +58,18 @@ def test_play_round_rejects_bad_move():
 
 
 def test_process_values_examples():
-    pv = process_values([1, 1, -1])
+    pv = Situation((1, 1, -1))
     assert (pv.n, pv.s, pv.xbar) == (3, 1, Fraction(1, 3))
-    pv = process_values([])
+    pv = Situation()
     assert (pv.n, pv.s, pv.xbar) == (0, 0, Fraction(0))
-    pv = process_values([-1, -1])
+    pv = Situation((-1, -1))
     assert (pv.n, pv.s, pv.xbar) == (2, -2, Fraction(-1))
 
 
 @given(moves_lists, st.sampled_from([-1, 1]))
 def test_process_values_prefix_consistency(moves, x):
-    before = process_values(moves)
-    after = process_values(moves + [x])
+    before = Situation(moves)
+    after = Situation(moves + [x])
     assert after.s == before.s + x
     assert after.n == before.n + 1
 
@@ -93,6 +96,15 @@ def test_run_game_matches_product_formula():
     trace = run_game(MultiplicativeContrarian(Fraction(1, 2)), Alternating(), 4)
     # engine gain is from zero; account wealth 1 + K equals the product
     assert 1 + trace.final_capital == product_capital(trace.moves, Fraction(1, 2))
+
+
+def test_run_game_keeps_every_round_for_collateral():
+    # the collateral check and the running minimum see the dip at round 2
+    trace = run_game(AdditiveContrarian(2), FixedPath([-1, -1, 1, 1]), 4)
+    assert trace.min_wealth() == -1
+    assert check_collateral(trace) is False
+    with pytest.raises(TypeError):
+        run_game(AdditiveContrarian(2), FixedPath([-1, -1, 1, 1]), 4, record=False)
 
 
 def test_run_game_negative_horizon():
@@ -175,6 +187,64 @@ def test_numbers_past_int_digit_limit_round_trip():
 def test_csv_rejects_bad_header():
     with pytest.raises(GameError):
         GameTrace.read_csv(io.StringIO("a,b,c\n"))
+
+
+HEADER = "n,x,M,K,s\n"
+GOOD_ROW = "1,1,1/2,1/2,1\n"
+
+
+@pytest.mark.parametrize("bad", [
+    "1,3,0/1,0/1,0",      # x not +-1
+    "2,1,0/1,0/1,1",      # n skips a round
+    "1,1,0/1,0/1,2",      # s does not move by x
+    "1,-1,1/2,1/2,-1",    # K does not move by M * x
+    "1,1,1/2",            # too few fields
+    "1,one,0/1,0/1,1",    # not a number
+])
+def test_csv_reader_rejects_inconsistent_rows(bad):
+    with pytest.raises(GameError, match="CSV line 3"):
+        GameTrace.read_csv(io.StringIO(HEADER + GOOD_ROW + bad + "\n"))
+
+
+@pytest.mark.parametrize("bad", [
+    '{"n": 1, "x": 3, "M": "0/1", "K": "0/1", "s": 0}',
+    '{"n": 1, "x": 1, "M": "1/2", "K": "1/3", "s": 1}',
+    '{"n": 1, "x": 1, "M": "0/1", "K": "0/1"}',
+    '{"n": 2.0, "x": 1, "M": "0/1", "K": "0/1", "s": 0}',
+    'not json',
+])
+def test_jsonl_reader_rejects_inconsistent_rows(bad):
+    with pytest.raises(GameError, match="JSONL line 2"):
+        GameTrace.read_jsonl(io.StringIO('{"n": 1, "x": -1, "M": "0/1", "K": "0/1", "s": -1}\n'
+                                         + bad + "\n"))
+
+
+def test_float_reader_compares_k_exactly():
+    # 0.1 + 0.2 is not 0.3 in float64, so a written float trace must carry K as summed
+    body = HEADER + "1,1,0.1,0.1,1\n2,1,0.2,0.30000000000000004,2\n"
+    assert GameTrace.read_csv(io.StringIO(body), mode=NumericMode.FLOAT64).final_capital == 0.1 + 0.2
+    with pytest.raises(GameError, match="CSV line 3"):
+        GameTrace.read_csv(io.StringIO(body.replace("0.30000000000000004", "0.3")),
+                           mode=NumericMode.FLOAT64)
+
+
+# stopped strategies cover rows with a zero stake
+ROUND_TRIP_SPECS = ["stopadd:eps=1", "oneside:N=2,dir=down", "mulc:c=1/2", "q:depth=3",
+                    "signforce:cap=16", "zero"]
+
+
+@given(st.lists(st.sampled_from([-1, 1]), max_size=60), st.sampled_from(ROUND_TRIP_SPECS),
+       st.sampled_from(list(NumericMode)), st.sampled_from(["csv", "jsonl"]))
+@settings(deadline=None, max_examples=80)
+def test_simulate_write_read_round_trip(moves, spec, mode, fmt):
+    strategy = parse_strategy(spec, exact=mode is NumericMode.EXACT)
+    trace = run_game(strategy, FixedPath(moves), len(moves), mode=mode)
+    buf = io.StringIO()
+    getattr(trace, f"write_{fmt}")(buf)
+    buf.seek(0)
+    back = getattr(GameTrace, f"read_{fmt}")(buf, mode=mode)
+    assert back.rounds == trace.rounds
+    assert [type(r.capital) for r in back.rounds] == [type(r.capital) for r in trace.rounds]
 
 
 @given(moves_lists)

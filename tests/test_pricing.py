@@ -133,6 +133,28 @@ def test_delta_hedge_self_financing_playout():
                 stack.append((n + 1, c, w2))
 
 
+def _child_value_by_value_or_payoff(table, n, s):
+    if table.is_live(n, s):
+        return table.value(n, s)
+    assert boundary_exceeds(n, s, table.l)
+    return Fraction(int((s < 0) == (table.payoff_side == "negative")))
+
+
+@given(st.integers(min_value=0, max_value=13), st.integers(min_value=1, max_value=64),
+       st.sampled_from(["zero", "one", "half"]), st.sampled_from(["negative", "positive"]))
+@settings(deadline=None, max_examples=60)
+def test_delta_hedge_bet_is_half_the_child_value_spread(l, horizon, tail, side):
+    table = eta_table(l, horizon, tail, side)
+    for n in range(horizon):
+        for s in range(-n, n + 1, 2):
+            if not table.is_live(n, s):
+                continue
+            up, down = table.child_value(n + 1, s + 1), table.child_value(n + 1, s - 1)
+            assert up == _child_value_by_value_or_payoff(table, n + 1, s + 1)
+            assert down == _child_value_by_value_or_payoff(table, n + 1, s - 1)
+            assert delta_hedge_bet(table, n, s) == (up - down) / 2
+
+
 # -- brackets ---------------------------------------------------------------
 
 def test_bracket_examples():

@@ -1,12 +1,14 @@
 """Betting strategies: closed forms, stop rules, mixtures, parsing."""
 
+import csv
+import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircoin.game import run_game
+from faircoin.game import NumericMode, run_game
 from faircoin.reality import FixedPath
 from faircoin.strategies import (
     AdditiveContrarian,
@@ -396,3 +398,67 @@ def test_double_next_stake_rejected():
     strat.next_stake()
     with pytest.raises(StrategyError):
         strat.next_stake()
+
+
+# -- replay against a plain running sum -----------------------------------
+
+def _running_sums(start, stakes, moves):
+    k, out = start, []
+    for m, x in zip(stakes, moves):
+        k = k + m * x
+        out.append(k)
+    return out
+
+
+@given(st.lists(st.sampled_from([-1, 1]), max_size=80),
+       st.sampled_from(["stopadd:eps=1", "oneside:N=2,dir=down", "signforce:cap=16", "q:depth=4"]),
+       st.booleans())
+@settings(deadline=None, max_examples=80)
+def test_replayed_csv_matches_plain_running_sum(moves, spec, exact):
+    strategy = parse_strategy(spec, exact=exact)
+    mode = NumericMode.EXACT if exact else NumericMode.FLOAT64
+    buf = io.StringIO()
+    run_game(strategy, FixedPath(moves), len(moves), mode=mode).write_csv(buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+    num = Fraction if exact else float
+    k, s = num(0), 0
+    for i, (row, x) in enumerate(zip(rows, moves), start=1):
+        k += num(row[2]) * x
+        s += x
+        assert (int(row[0]), int(row[1]), num(row[3]), int(row[4])) == (i, x, k, s)
+    assert len(rows) == len(moves)
+    if exact:
+        assert strategy.gain == k
+
+
+# Zero stakes of another number type than the account: the account takes
+# whatever type k + stake * x has, so a float zero turns a Fraction into a float.
+MIXED = [
+    ("exact stop rule, exact trace", lambda: StoppedAdditive(1), NumericMode.EXACT, Fraction),
+    ("float zero bettor, exact trace", lambda: ZeroStrategy(exact=False), NumericMode.EXACT, float),
+    ("float stop rule, exact trace", lambda: StoppedAdditive(1, exact=False), NumericMode.EXACT,
+     float),
+    ("exact one-sided, float trace", lambda: OneSided(1), NumericMode.FLOAT64, float),
+    ("exact mixture of float and exact parts",
+     lambda: Mixture([(Fraction(1, 2), StoppedAdditive(1, exact=False)),
+                      (Fraction(1, 2), OneSided(1))]), NumericMode.EXACT, float),
+    ("float mixture of exact parts",
+     lambda: Mixture([(Fraction(1, 2), StoppedAdditive(1)), (Fraction(1, 2), OneSided(1))],
+                     exact=False), NumericMode.EXACT, float),
+]
+
+
+@pytest.mark.parametrize("make, mode, capital_type", [case[1:] for case in MIXED],
+                         ids=[case[0] for case in MIXED])
+def test_mixed_number_types_follow_the_plain_sum(make, mode, capital_type):
+    moves = [-1, -1, 1, 1, 1, -1, -1, -1]
+    zero = Fraction(0) if mode is NumericMode.EXACT else 0.0
+    trace = run_game(make(), FixedPath(moves), len(moves), mode=mode)
+    assert type(trace.final_capital) is capital_type
+    want = _running_sums(zero, [r.stake for r in trace.rounds], moves)
+    assert [(type(r.capital), r.capital) for r in trace.rounds] == [(type(k), k) for k in want]
+
+    strategy = make()
+    stakes = feed(strategy, moves)
+    want = _running_sums(Fraction(0) if strategy.exact else 0.0, stakes, moves)[-1]
+    assert (type(strategy.gain), strategy.gain) == (type(want), want)

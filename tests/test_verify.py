@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faircoin
-from faircoin.strategies import AdditiveContrarian, MultiplicativeContrarian
+from faircoin import verify
+from faircoin.strategies import AdditiveContrarian, MultiplicativeContrarian, StoppedAdditive
 from faircoin.verify import (
     CHECKS,
     VerifyError,
@@ -134,6 +135,25 @@ def test_bad_env_caps_fail_at_use_not_at_import(monkeypatch):
     monkeypatch.setenv("FAIRCOIN_EXHAUSTIVE_CAP", "abc")
     with pytest.raises(VerifyError, match="FAIRCOIN_EXHAUSTIVE_CAP"):
         exhaustive(6, "summation-identity")
+
+
+@pytest.mark.parametrize("broken, fails_at", [((2, 0), 3), ((5, 1), 6)])
+def test_failing_walk_counts_only_the_paths_it_checked(monkeypatch, broken, fails_at):
+    class OffByOne(StoppedAdditive):
+        def _stake(self):
+            stake = super()._stake()
+            return stake + 1 if (self.n, self.s) == broken else stake
+
+    monkeypatch.setattr(verify, "StoppedAdditive", OffByOne)
+    depth = 6
+    report = exhaustive_stopped_additive_check(Fraction(1, 2), depth)
+    path = report.counterexample
+    assert not report.passed and len(path) == fails_at
+    # the walk tries -1 before +1, so every +1 on the way skips a finished
+    # subtree; a failing leaf was checked too
+    finished = sum(1 << (depth - i) for i, x in enumerate(path, start=1) if x == 1)
+    assert report.paths_checked == finished + (fails_at == depth)
+    assert report.paths_checked < 1 << depth
 
 
 def test_report_serialization():
