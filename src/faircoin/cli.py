@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import pricing, verify
-from .game import GameError, GameTrace, NumericMode, fmt_number, run_game
+from .game import GameError, GameTrace, NumericMode, fmt_number, run_game, spec_value
 from .pricing import PricingError
 from .reality import RealityError, parse_reality
 from .stopping import event_report, excursions
@@ -138,9 +138,9 @@ def cmd_census(args) -> int:
 def cmd_verify(args) -> int:
     params = {}
     if args.c is not None:
-        params["c"] = Fraction(args.c)
+        params["c"] = spec_value("--c", args.c, Fraction, VerifyError)
     if args.eps is not None:
-        params["eps"] = Fraction(args.eps)
+        params["eps"] = spec_value("--eps", args.eps, Fraction, VerifyError)
     if args.N is not None:
         params["N"] = args.N
     if args.direction is not None:

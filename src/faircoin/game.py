@@ -263,6 +263,40 @@ def parse_number(text: str, mode: NumericMode = NumericMode.EXACT):
         return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
+def spec_value(name: str, text: str, convert, error: type[Exception]):
+    """convert(text); a bad literal raises ``error`` naming ``name``."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise error(f"bad value {text!r} for {name}") from None
+
+
+def spec_args(rest: str, error: type[Exception]):
+    """Read the ``key=value,...`` part of a strategy or reality spec.
+
+    Returns ``arg(key, convert=str, default=None)``, where no default
+    makes the key required.  A part without a value, a missing required
+    key and a bad literal all raise ``error``.
+    """
+    args = {}
+    for part in rest.split(","):
+        if not part:
+            continue
+        key, _, val = part.partition("=")
+        if not val.strip():
+            raise error(f"malformed spec argument {part!r}")
+        args[key.strip()] = val.strip()
+
+    def arg(key: str, convert=str, default=None):
+        if key in args:
+            return spec_value(key, args[key], convert, error)
+        if default is None:
+            raise error(f"missing spec argument {key!r}")
+        return default
+
+    return arg
+
+
 def run_game(strategy, reality, horizon: int, initial_capital=Fraction(1),
              mode: NumericMode = NumericMode.EXACT) -> GameTrace:
     """Play ``horizon`` rounds of the protocol.

@@ -110,6 +110,8 @@ class EtaTable:
             raise PricingError(f"round {n} outside table horizon {self.horizon}")
         if self.is_live(n, s):
             return self._levels[n][(s + self._widths[n]) // 2]
+        if abs(s) > n or (s - n) % 2:
+            raise PricingError(f"state (n={n}, s={s}) is impossible")
         if boundary_exceeds(n, s, self.l):
             return _absorbed_payoff(s, self.payoff_side) << self._scale_bits(n)
         raise PricingError(f"state (n={n}, s={s}) unreachable in this table")

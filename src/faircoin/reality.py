@@ -10,7 +10,8 @@ sequence minimizing Skeptic's final wealth, given the strategy's declared
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+
+from .game import Situation, spec_args
 
 DEFAULT_MINIMAX_CAP = 22
 
@@ -95,6 +96,8 @@ def worst_case(strategy, rounds: int, objective: str = "final",
     """
     if rounds > depth_cap:
         raise RealityError(f"minimax depth {rounds} exceeds cap {depth_cap}")
+    if rounds < 0:
+        raise RealityError(f"minimax depth must be >= 0, got {rounds}")
     if objective not in ("final", "running_min"):
         raise RealityError(f"unknown objective {objective!r}")
     memo: dict = {}
@@ -107,24 +110,20 @@ def worst_case(strategy, rounds: int, objective: str = "final",
             hit = memo.get((left, key))
             if hit is not None:
                 return hit
-        stake = strat.next_stake()
         best = None
         best_path = ()
-        for x in (-1, 1):
-            nxt = strat.clone()
-            nxt.observe(x)
+        for x, nxt in zip((-1, 1), strat.children()):
             val, path = search(nxt, left - 1)
             if objective == "running_min":
                 val = min(val, nxt.wealth)
             if best is None or val < best:
                 best = val
                 best_path = (x,) + path
-        strat._pending = None  # roll back the probe stake on the shared parent
         if key is not None:
             memo[(left, key)] = (best, best_path)
         return best, best_path
 
-    return search(strategy.clone(), rounds)
+    return search(strategy, rounds)
 
 
 class Minimax(RealitySource):
@@ -145,23 +144,18 @@ class Minimax(RealitySource):
         self._round = 0
 
     def next_move(self, history, stake) -> int:
+        left = self.horizon - self._round
+        if left < 1:
+            raise RealityError(f"minimax asked for move {self._round + 1} "
+                               f"past its horizon {self.horizon}")
+        _, path = worst_case(self.mirror, left, depth_cap=self.horizon)
         expected = self.mirror.next_stake()
         if expected != stake:
             raise RealityError(
                 f"minimax mirror desynchronized: strategy bet {stake}, mirror {expected}")
-        left = self.horizon - self._round
-        best_x = -1
-        best_val = None
-        for x in (-1, 1):
-            probe = self.mirror.clone()
-            probe.observe(x)
-            val, _ = worst_case(probe, left - 1, depth_cap=self.horizon)
-            if best_val is None or val < best_val:
-                best_val = val
-                best_x = x
-        self.mirror.observe(best_x)
+        self.mirror.observe(path[0])
         self._round += 1
-        return best_x
+        return path[0]
 
 
 def parse_reality(spec: str, strategy_factory=None, horizon: int | None = None) -> RealitySource:
@@ -174,31 +168,17 @@ def parse_reality(spec: str, strategy_factory=None, horizon: int | None = None) 
     spec = spec.strip()
     head, _, rest = spec.partition(":")
     if head == "fixed":
-        from .game import Situation
         return FixedPath(Situation.from_string(rest).moves)
     if head == "alt":
         return Alternating()
     if head == "iid":
-        args = _args(rest)
-        return IIDCoin(int(args["seed"]))
+        return IIDCoin(spec_args(rest, RealityError)("seed", int))
     if head == "greedy":
-        args = _args(rest) if rest else {}
-        return Greedy(tie=int(args.get("tie", "-1")))
+        return Greedy(tie=spec_args(rest, RealityError)("tie", int, -1))
     if head == "minimax":
         if strategy_factory is None:
             raise RealityError("minimax reality needs the strategy to re-simulate")
-        args = _args(rest)
-        depth = int(args["depth"])
+        depth = spec_args(rest, RealityError)("depth", int)
         return Minimax(strategy_factory, horizon if horizon is not None else depth,
                        depth_cap=depth)
     raise RealityError(f"unknown reality spec {spec!r}")
-
-
-def _args(rest: str) -> dict:
-    out = {}
-    for part in rest.split(","):
-        if not part:
-            continue
-        key, _, val = part.partition("=")
-        out[key.strip()] = val.strip()
-    return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import pricing
-from .game import ZERO, settle
+from .game import ZERO, Situation, settle, spec_args, spec_value
 from .stopping import boundary_exceeds
 
 
@@ -71,6 +71,19 @@ class Strategy:
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         return new
+
+    def children(self) -> tuple["Strategy", "Strategy"]:
+        """The two strategies one round on: (after -1, after +1).
+
+        The stake is announced once, on a clone, so this strategy itself
+        is left untouched, stop flag included.
+        """
+        down = self.clone()
+        down.next_stake()
+        up = down.clone()
+        down.observe(-1)
+        up.observe(1)
+        return down, up
 
     def state_key(self):
         """Hashable full betting state, or None when not re-simulatable
@@ -384,25 +397,23 @@ def parse_strategy(spec: str, exact: bool = True) -> Strategy:
     if head == "zero":
         return ZeroStrategy(exact=exact)
     if head == "mulc":
-        return MultiplicativeContrarian(_spec_args(rest)["c"], exact=exact)
+        return MultiplicativeContrarian(spec_args(rest, StrategyError)("c", Fraction),
+                                        exact=exact)
     if head == "addc":
-        return AdditiveContrarian(_spec_args(rest)["eps"], exact=exact)
+        return AdditiveContrarian(spec_args(rest, StrategyError)("eps", Fraction), exact=exact)
     if head == "stopadd":
-        return StoppedAdditive(_spec_args(rest)["eps"], exact=exact)
+        return StoppedAdditive(spec_args(rest, StrategyError)("eps", Fraction), exact=exact)
     if head == "oneside":
-        args = _spec_args(rest, rational=False)
-        return OneSided(int(args["N"]), args.get("dir", "down"), exact=exact)
+        arg = spec_args(rest, StrategyError)
+        return OneSided(arg("N", int), arg("dir", default="down"), exact=exact)
     if head == "pathbet":
-        from .game import Situation
-        args = _spec_args(rest, rational=False)
-        target = Situation.from_string(args["target"]).moves
-        return PathBettor(target, Fraction(args["budget"]), exact=exact)
+        arg = spec_args(rest, StrategyError)
+        target = Situation.from_string(arg("target")).moves
+        return PathBettor(target, arg("budget", Fraction), exact=exact)
     if head == "signforce":
-        args = _spec_args(rest, rational=False) if rest else {}
-        return SignForcing(hedge_cap=int(args.get("cap", 1024)))
+        return SignForcing(hedge_cap=spec_args(rest, StrategyError)("cap", int, 1024))
     if head == "q":
-        args = _spec_args(rest, rational=False) if rest else {}
-        return truncated_q(int(args.get("depth", 20)), exact=exact)
+        return truncated_q(spec_args(rest, StrategyError)("depth", int, 20), exact=exact)
     if head == "mix":
         if not (rest.startswith("[") and rest.endswith("]")):
             raise StrategyError(f"mixture spec needs [...], got {spec!r}")
@@ -414,23 +425,12 @@ def parse_strategy(spec: str, exact: bool = True) -> Strategy:
                 continue
             if "@" in part:
                 w, _, sub = part.partition("@")
-                comps.append((Fraction(w), parse_strategy(sub, exact=exact)))
+                comps.append((spec_value("a mixture weight", w, Fraction, StrategyError),
+                              parse_strategy(sub, exact=exact)))
             else:
-                tail = Fraction(part)
+                tail = spec_value("the mixture tail", part, Fraction, StrategyError)
         return Mixture(comps, tail_weight=tail, exact=exact)
     raise StrategyError(f"unknown strategy spec {spec!r}")
-
-
-def _spec_args(rest: str, rational: bool = True) -> dict:
-    out = {}
-    for part in rest.split(","):
-        if not part:
-            continue
-        key, _, val = part.partition("=")
-        if not val:
-            raise StrategyError(f"malformed strategy argument {part!r}")
-        out[key.strip()] = Fraction(val) if rational else val.strip()
-    return out
 
 
 class ZeroStrategy(Strategy):

@@ -138,13 +138,14 @@ def log_capital_lower_bound_check(prefix, c, slack: float = LOG_BOUND_SLACK) -> 
 
 def additive_capital(prefix_or_n, s=None, eps=Fraction(2)) -> Fraction:
     """The closed form (eps/2)(n - s_n^2), from (n, s) or a prefix."""
-    eps = Fraction(eps)
+    if not isinstance(eps, Fraction):
+        eps = Fraction(eps)
     if s is None:
         moves = moves_of(prefix_or_n)
         n, s = len(moves), sum(moves)
     else:
         n = prefix_or_n
-    return eps * (n - s * s) / 2
+    return Fraction(eps.numerator * (n - s * s), 2 * eps.denominator)
 
 
 def additive_closed_form_check(prefix, eps) -> IdentityReport:
@@ -181,70 +182,80 @@ def _cap(depth: int, cap: int | None) -> None:
         raise VerifyError("exhaustive depth must be >= 1")
 
 
-def _report(identity: str, leaves: int, failure) -> IdentityReport:
+_MOVES = (-1, 1)
+
+
+def _walk(identity: str, depth: int, root, step) -> IdentityReport:
+    """Check every move sequence up to ``depth``, depth first.
+
+    ``step(node, n)`` yields one ``(failure, child)`` pair per move of
+    _MOVES, in that order, for a node at round n; ``failure`` is None when
+    the child checks out, else the discrepancy to report.  The walk stops
+    at the first failure; ``paths_checked`` counts the full-length paths
+    reached, a failing leaf included.
+    """
+    leaves = 0
+    path = [0] * depth
+
+    def rec(node, n):
+        nonlocal leaves
+        leaf = n + 1 == depth
+        for x, (failure, child) in zip(_MOVES, step(node, n)):
+            path[n] = x
+            leaves += leaf
+            if failure is not None:
+                del path[n + 1:]
+                return failure
+            if not leaf and (failure := rec(child, n + 1)) is not None:
+                return failure
+        return None
+
+    failure = rec(root, 0)
     if failure is None:
         return IdentityReport(identity, leaves, Fraction(0))
-    disc, path = failure
-    return IdentityReport(identity, leaves, disc, tuple(path))
+    return IdentityReport(identity, leaves, failure, tuple(path))
+
+
+def _mismatch(got, want):
+    return None if got == want else abs(got - want)
 
 
 def exhaustive_product_check(c, depth: int, cap: int | None = None) -> IdentityReport:
     """Engine capital == direct product, every factor > 0, all paths."""
     _cap(depth, cap)
     c = Fraction(c)
-    leaves = 0
 
-    def rec(strat, prod, n, s, path):
-        nonlocal leaves
-        strat.next_stake()
-        for x in (-1, 1):
-            if n + 1 == depth:
-                leaves += 1
-            factor = 1 - c * Fraction(s, n) * x if n else Fraction(1)
-            if factor <= 0:
-                return (Fraction(1), path + [x])
-            child = strat.clone()
-            child.observe(x)
+    def step(node, n):
+        strat, prod, s = node
+        cxbar = c * Fraction(s, n) if n else Fraction(0)
+        for x, child in zip(_MOVES, strat.children()):
+            factor = 1 - cxbar * x
             prod2 = prod * factor
-            if child.wealth != prod2:
-                return (abs(child.wealth - prod2), path + [x])
-            if n + 1 < depth:
-                bad = rec(child, prod2, n + 1, s + x, path + [x])
-                if bad:
-                    return bad
-        strat._pending = None
-        return None
+            failure = Fraction(1) if factor <= 0 else _mismatch(child.wealth, prod2)
+            yield failure, (child, prod2, s + x)
 
-    failure = rec(MultiplicativeContrarian(c), Fraction(1), 0, 0, [])
-    return _report("product-capital", leaves, failure)
+    return _walk("product-capital", depth,
+                 (MultiplicativeContrarian(c), Fraction(1), 0), step)
 
 
 def exhaustive_summation_check(depth: int, cap: int | None = None) -> IdentityReport:
     """The partial-summation identity, checked at every node of depth >= 2."""
     _cap(depth, cap)
-    leaves = 0
 
-    def rec(n, s, lhs, a, b, path):
-        nonlocal leaves
-        for x in (-1, 1):
-            if n + 1 == depth:
-                leaves += 1
-            lhs2 = lhs + (Fraction(s, n) * x if n else Fraction(0))
-            n2, s2 = n + 1, s + x
-            a2 = a + (Fraction(n2, n2 - 1) * Fraction(s2, n2) ** 2 if n2 >= 2 else Fraction(0))
-            b2 = b + (Fraction(1, n2 - 1) if n2 >= 2 else Fraction(1))
-            if n2 >= 2:
-                rhs = a2 / 2 + Fraction(n2, 2) * Fraction(s2, n2) ** 2 - b2 / 2
-                if lhs2 != rhs:
-                    return (abs(lhs2 - rhs), path + [x])
-            if n2 < depth:
-                bad = rec(n2, s2, lhs2, a2, b2, path + [x])
-                if bad:
-                    return bad
-        return None
+    def step(node, n):
+        s, lhs, a, b = node
+        xbar = Fraction(s, n) if n else Fraction(0)
+        n2 = n + 1
+        b2 = b + (Fraction(1, n) if n else Fraction(1))
+        for x in _MOVES:
+            s2 = s + x
+            lhs2 = lhs + xbar * x
+            a2 = a + (Fraction(n2, n) * Fraction(s2, n2) ** 2 if n else Fraction(0))
+            rhs = a2 / 2 + Fraction(n2, 2) * Fraction(s2, n2) ** 2 - b2 / 2
+            yield (_mismatch(lhs2, rhs) if n else None), (s2, lhs2, a2, b2)
 
-    failure = rec(0, 0, Fraction(0), Fraction(0), Fraction(0), [])
-    return _report("summation-identity", leaves, failure)
+    return _walk("summation-identity", depth,
+                 (0, Fraction(0), Fraction(0), Fraction(0)), step)
 
 
 def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK,
@@ -252,90 +263,54 @@ def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK,
     """Float check of the log capital lower bound at every node of depth >= 2."""
     _cap(depth, cap)
     cf = float(Fraction(c))
-    leaves = 0
 
-    def rec(n, s, log_k, a, b, path):
-        nonlocal leaves
-        for x in (-1, 1):
-            if n + 1 == depth:
-                leaves += 1
-            if n:
-                xbar_prev = s / n
-                log_k2 = log_k + math.log(1.0 - cf * xbar_prev * x)
-                b2 = b + xbar_prev * xbar_prev
-            else:
-                log_k2, b2 = log_k, b
-            n2, s2 = n + 1, s + x
-            a2 = a + ((n2 / (n2 - 1)) * (s2 / n2) ** 2 if n2 >= 2 else 0.0)
-            if n2 >= 2:
-                rhs = (cf / 2) * (1 + math.log(n2) - (a2 + 2 * cf * b2 + n2 * (s2 / n2) ** 2))
-                if log_k2 - rhs < -slack:
-                    return (rhs - log_k2, path + [x])
-            if n2 < depth:
-                bad = rec(n2, s2, log_k2, a2, b2, path + [x])
-                if bad:
-                    return bad
-        return None
+    def step(node, n):
+        s, log_k, a, b = node
+        xbar_prev = s / n if n else 0.0
+        b2 = b + xbar_prev * xbar_prev
+        n2 = n + 1
+        for x in _MOVES:
+            s2 = s + x
+            log_k2 = log_k + math.log(1.0 - cf * xbar_prev * x)
+            a2 = a + ((n2 / n) * (s2 / n2) ** 2 if n else 0.0)
+            rhs = (cf / 2) * (1 + math.log(n2) - (a2 + 2 * cf * b2 + n2 * (s2 / n2) ** 2))
+            failure = rhs - log_k2 if n and log_k2 - rhs < -slack else None
+            yield failure, (s2, log_k2, a2, b2)
 
-    failure = rec(0, 0, 0.0, 0.0, 0.0, [])
-    return _report("log-lower-bound", leaves, failure)
+    return _walk("log-lower-bound", depth, (0, 0.0, 0.0, 0.0), step)
 
 
 def exhaustive_additive_check(eps, depth: int, cap: int | None = None) -> IdentityReport:
     """Engine capital of the unstopped additive bettor == (eps/2)(n - s^2)."""
     _cap(depth, cap)
     eps = Fraction(eps)
-    leaves = 0
 
-    def rec(strat, path):
-        nonlocal leaves
-        strat.next_stake()
-        for x in (-1, 1):
-            if strat.n + 1 == depth:
-                leaves += 1
-            child = strat.clone()
-            child.observe(x)
-            expect = additive_capital(child.n, child.s, eps)
-            if child.gain != expect:
-                return (abs(child.gain - expect), path + [x])
-            if child.n < depth:
-                bad = rec(child, path + [x])
-                if bad:
-                    return bad
-        strat._pending = None
-        return None
+    def step(node, n):
+        strat, s = node
+        for x, child in zip(_MOVES, strat.children()):
+            yield _mismatch(child.gain, additive_capital(n + 1, s + x, eps)), (child, s + x)
 
-    failure = rec(AdditiveContrarian(eps), [])
-    return _report("additive-closed-form", leaves, failure)
+    return _walk("additive-closed-form", depth, (AdditiveContrarian(eps), 0), step)
 
 
 def exhaustive_stopped_additive_check(eps, depth: int, cap: int | None = None) -> IdentityReport:
     """Stop-rule bettor: wealth >= 0 always; Lemma-form capital while unstopped."""
     _cap(depth, cap)
     eps = Fraction(eps)
-    leaves = 0
+    root = StoppedAdditive(eps)
+    m = int(2 / eps)  # an integer, or the constructor above had refused eps
 
-    def rec(strat, path):
-        nonlocal leaves
-        strat.next_stake()
-        for x in (-1, 1):
-            if strat.n + 1 == depth:
-                leaves += 1
-            child = strat.clone()
-            child.observe(x)
-            if child.wealth < 0:
-                return (-child.wealth, path + [x])
-            if not child.stopped and child.gain != additive_capital(child.n, child.s, eps):
-                return (abs(child.gain - additive_capital(child.n, child.s, eps)), path + [x])
-            if child.n < depth:
-                bad = rec(child, path + [x])
-                if bad:
-                    return bad
-        strat._pending = None
-        return None
+    def step(node, n):
+        strat, s, stopped = node
+        # the guard for round n + 1 reads s_n: (|s_n| + 1)^2 <= n + 1 + m
+        stopped = stopped or (abs(s) + 1) ** 2 > n + 1 + m
+        for x, child in zip(_MOVES, strat.children()):
+            failure = -child.wealth if child.wealth < 0 else None
+            if failure is None and not stopped:
+                failure = _mismatch(child.gain, additive_capital(n + 1, s + x, eps))
+            yield failure, (child, s + x, stopped)
 
-    failure = rec(StoppedAdditive(eps), [])
-    return _report("stopped-additive-collateral", leaves, failure)
+    return _walk("stopped-additive-collateral", depth, (root, 0, False), step)
 
 
 def exhaustive_one_sided_check(N: int, direction: str, depth: int,
@@ -343,29 +318,17 @@ def exhaustive_one_sided_check(N: int, direction: str, depth: int,
     """One-sided capital: +-s_n/N before the hit, -1 at and after; wealth >= 0."""
     _cap(depth, cap)
     sign = 1 if direction == "down" else -1
-    leaves = 0
 
-    def rec(strat, hit, path):
-        nonlocal leaves
-        strat.next_stake()
-        for x in (-1, 1):
-            if strat.n + 1 == depth:
-                leaves += 1
-            child = strat.clone()
-            child.observe(x)
-            hit2 = hit or (sign * child.s <= -N)
-            expect = Fraction(-1) if hit2 else Fraction(sign * child.s, N)
-            if child.gain != expect or child.wealth < 0:
-                return (abs(child.gain - expect), path + [x])
-            if child.n < depth:
-                bad = rec(child, hit2, path + [x])
-                if bad:
-                    return bad
-        strat._pending = None
-        return None
+    def step(node, n):
+        strat, s, hit = node
+        for x, child in zip(_MOVES, strat.children()):
+            hit2 = hit or sign * (s + x) <= -N
+            expect = Fraction(-1) if hit2 else Fraction(sign * (s + x), N)
+            bad = child.gain != expect or child.wealth < 0
+            yield (abs(child.gain - expect) if bad else None), (child, s + x, hit2)
 
-    failure = rec(OneSided(N, direction), False, [])
-    return _report(f"one-sided-capital-{direction}-{N}", leaves, failure)
+    return _walk(f"one-sided-capital-{direction}-{N}", depth,
+                 (OneSided(N, direction), 0, False), step)
 
 
 CHECKS = {

@@ -123,6 +123,28 @@ def test_verify_with_params(capsys):
     assert json.loads(out)["passed"] is True
 
 
+# the six checks at their defaults, pinned byte for byte
+VERIFY_PINS = {
+    check: json.dumps({"identity": identity, "paths_checked": 1024, "max_discrepancy": "0/1",
+                       "counterexample": None, "passed": True})
+    for check, identity in [
+        ("additive-closed-form", "additive-closed-form"),
+        ("log-lower-bound", "log-lower-bound"),
+        ("one-sided-capital", "one-sided-capital-down-2"),
+        ("product-capital", "product-capital"),
+        ("stopped-additive-collateral", "stopped-additive-collateral"),
+        ("summation-identity", "summation-identity"),
+    ]
+}
+
+
+@pytest.mark.parametrize("check", sorted(VERIFY_PINS))
+def test_verify_output_pinned_at_depth_10(capsys, check):
+    code, out = run_cli(capsys, "verify", "--check", check, "--depth", "10")
+    assert code == 0
+    assert out == VERIFY_PINS[check] + "\n"
+
+
 def test_excursions_from_path(capsys):
     code, out = run_cli(capsys, "excursions", "--path=-1+1-1")
     assert code == 0
@@ -154,8 +176,21 @@ def test_bad_strategy_spec_raises(capsys):
     assert "unknown strategy spec" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["census", "--l", "4", "--k", "0"],
-                                  ["price", "--l", "0", "--horizon", "0"]])
+def _simulate(strategy="zero", reality="alt"):
+    return ["simulate", "--strategy", strategy, "--reality", reality, "--horizon", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--l", "4", "--k", "0"],
+    ["price", "--l", "0", "--horizon", "0"],
+    # a missing spec argument or a bad literal is a usage error too
+    *(_simulate(reality=r) for r in ("iid:", "iid:seed=x", "greedy:tie=x", "minimax:")),
+    *(_simulate(strategy=s) for s in ("mulc:", "mulc:c=x", "oneside:N=x", "pathbet:budget=1",
+                                      "signforce:cap=x", "q:depth=x",
+                                      "mix:[1/2@mulc:c=1/2;x]")),
+    ["verify", "--check", "product-capital", "--depth", "2", "--c", "x"],
+    ["verify", "--check", "additive-closed-form", "--depth", "2", "--eps", "x"],
+])
 def test_domain_error_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -56,6 +56,13 @@ def test_eta_rejects_bad_args():
         eta_table(0, 4, "three-quarters")
 
 
+@pytest.mark.parametrize("n, s", [(1, 3), (1, 4), (2, 1), (3, -4), (4, 6)])
+def test_child_value_rejects_impossible_states(n, s):
+    # |s| > n, or s of the wrong parity: no path reaches (n, s)
+    with pytest.raises(PricingError, match="impossible"):
+        eta_table(0, 5).child_value(n, s)
+
+
 def test_eta_martingale_recursion():
     table = eta_table(4, 8)
     for n in range(8):

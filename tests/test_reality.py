@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faircoin.game import run_game
+from faircoin.game import Situation, run_game
 from faircoin.reality import (
     Alternating,
     FixedPath,
@@ -23,6 +23,7 @@ from faircoin.strategies import (
     OneSided,
     StoppedAdditive,
     ZeroStrategy,
+    parse_strategy,
 )
 
 moves_lists = st.lists(st.sampled_from([-1, 1]), max_size=20)
@@ -79,6 +80,8 @@ def test_worst_case_objectives_and_caps():
         worst_case(ZeroStrategy(), 5, depth_cap=4)
     with pytest.raises(RealityError):
         worst_case(ZeroStrategy(), 3, objective="median")
+    with pytest.raises(RealityError):
+        worst_case(OneSided(1), -1)
 
 
 def test_worst_case_does_not_mutate_strategy():
@@ -91,12 +94,24 @@ def test_minimax_source_plays_worst_path():
     trace = run_game(OneSided(1, "down"), Minimax(lambda: OneSided(1, "down"), 4), 4)
     assert trace.final_capital == -1
     assert 1 + trace.final_capital == 0
+    # each move opens a worst path from the current state, so the play-out
+    # ends at the worst-case value
+    for spec in ("stopadd:eps=2/4", "oneside:N=2,dir=up", "mulc:c=1/2", "addc:eps=1"):
+        def make():
+            return parse_strategy(spec)
+        trace = run_game(make(), Minimax(make, 7), 7)
+        assert 1 + trace.final_capital == worst_case(make(), 7)[0], spec
 
 
 def test_minimax_desync_detection():
     src = Minimax(lambda: OneSided(1, "down"), 3)
     with pytest.raises(RealityError):
         src.next_move([], Fraction(7))  # the real one-sided stake is 1
+
+
+def test_minimax_refuses_moves_past_its_horizon():
+    with pytest.raises(RealityError, match="past its horizon 2"):
+        run_game(OneSided(1), Minimax(lambda: OneSided(1), 2), 4)
 
 
 def test_minimax_below_greedy_below_fixed():
@@ -137,3 +152,37 @@ def test_parse_reality_kinds():
         parse_reality("minimax:depth=6")
     with pytest.raises(RealityError):
         parse_reality("oracle")
+
+
+# worst_case at depth 12 for the acceptance sweep's strategies: value and
+# path are pinned so that a change to the search cannot move them unseen,
+# ties included (-1 first, then whatever the memo saw first)
+WORST_CASE_PINS = [
+    ("stopadd:eps=2/1", "final", "1", "------------"),
+    ("stopadd:eps=2/1", "running_min", "1", "------------"),
+    ("stopadd:eps=2/2", "final", "0", "------------"),
+    ("stopadd:eps=2/2", "running_min", "0", "------------"),
+    ("stopadd:eps=2/4", "final", "0", "-+----------"),
+    ("stopadd:eps=2/4", "running_min", "0", "-+----------"),
+    ("stopadd:eps=2/8", "final", "0", "--+-+-------"),
+    ("stopadd:eps=2/8", "running_min", "0", "--+-+-------"),
+    ("oneside:N=1,dir=down", "final", "0", "------------"),
+    ("oneside:N=1,dir=down", "running_min", "0", "------------"),
+    ("oneside:N=1,dir=up", "final", "0", "-----++++++-"),
+    ("oneside:N=1,dir=up", "running_min", "0", "-----++++++-"),
+    ("oneside:N=2,dir=down", "final", "0", "------------"),
+    ("oneside:N=2,dir=down", "running_min", "0", "------------"),
+    ("oneside:N=2,dir=up", "final", "0", "-----+++++++"),
+    ("oneside:N=2,dir=up", "running_min", "0", "-----+++++++"),
+    ("oneside:N=3,dir=down", "final", "0", "------------"),
+    ("oneside:N=3,dir=down", "running_min", "0", "------------"),
+    ("oneside:N=3,dir=up", "final", "0", "----+++++++-"),
+    ("oneside:N=3,dir=up", "running_min", "0", "----+++++++-"),
+]
+
+
+@pytest.mark.parametrize("spec, objective, value, path", WORST_CASE_PINS)
+def test_worst_case_pinned_at_depth_12(spec, objective, value, path):
+    got_value, got_path = worst_case(parse_strategy(spec), 12, objective=objective)
+    assert got_value == Fraction(value)
+    assert got_path == Situation.from_string(path).moves

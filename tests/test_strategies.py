@@ -386,6 +386,50 @@ def test_clone_is_independent(moves):
     assert strat.stopped == twin.stopped
 
 
+def _state(strat):
+    """Everything a strategy carries, component accounts included."""
+    out = dict(vars(strat))
+    if "components" in out:
+        out["components"] = [(w, _state(s)) for w, s in out["components"]]
+    if "excursion_log" in out:
+        out["excursion_log"] = [repr(e) for e in out["excursion_log"]]
+    return out
+
+
+CHILDREN_CASES = [
+    (lambda: MultiplicativeContrarian(Fraction(1, 2)), [1, 1, -1]),
+    (lambda: MultiplicativeContrarian(Fraction(1, 4), exact=False), [1, -1, -1]),
+    (lambda: AdditiveContrarian(Fraction(2)), [-1, -1]),
+    # (|s| + 1)^2 = 4 > 2 + m: the guard trips at the next stake
+    (lambda: StoppedAdditive(Fraction(2)), [1]),
+    (lambda: StoppedAdditive(Fraction(1, 2)), [-1, -1, -1]),
+    (lambda: OneSided(2, "down"), [-1]),
+    (lambda: OneSided(1, "up"), [1, -1]),
+    (lambda: PathBettor([1, -1, 1], Fraction(1, 2)), [1]),
+    (lambda: truncated_q(3), [1, 1]),
+    (lambda: Mixture([(Fraction(1, 2), StoppedAdditive(Fraction(1))),
+                      (Fraction(1, 4), OneSided(1))], Fraction(1, 4)), [1]),
+    # hedging the excursion from w = 4; the +1 child absorbs it and logs it
+    (lambda: SignForcing(), [1, 1, -1, -1, 1]),
+    (lambda: ZeroStrategy(), [1]),
+]
+
+
+@pytest.mark.parametrize("make, moves", CHILDREN_CASES, ids=[
+    "mulc", "mulc-float", "addc", "stopadd-guard-trips", "stopadd-stopped", "oneside-down",
+    "oneside-up", "pathbet", "q", "mixture", "signforce", "zero"])
+def test_children_leave_the_parent_and_match_a_replay(make, moves):
+    parent = make()
+    feed(parent, moves)
+    before = _state(parent)
+    children = parent.children()
+    assert _state(parent) == before
+    for x, child in zip((-1, 1), children):
+        replay = make()
+        feed(replay, moves + [x])
+        assert _state(child) == _state(replay)
+
+
 def test_spectator_observe_counts_as_zero_stake():
     strat = MultiplicativeContrarian(Fraction(1, 2))
     strat.observe(1)  # no next_stake() first

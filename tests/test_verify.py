@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import faircoin
 from faircoin import verify
-from faircoin.strategies import AdditiveContrarian, MultiplicativeContrarian, StoppedAdditive
+from faircoin.strategies import AdditiveContrarian, MultiplicativeContrarian
 from faircoin.verify import (
     CHECKS,
     VerifyError,
@@ -137,23 +137,41 @@ def test_bad_env_caps_fail_at_use_not_at_import(monkeypatch):
         exhaustive(6, "summation-identity")
 
 
+ENGINE_CHECKS = [
+    ("MultiplicativeContrarian", lambda depth: exhaustive_product_check(Fraction(1, 2), depth)),
+    ("AdditiveContrarian", lambda depth: exhaustive_additive_check(Fraction(2), depth)),
+    ("StoppedAdditive", lambda depth: exhaustive_stopped_additive_check(Fraction(1, 2), depth)),
+    ("OneSided", lambda depth: exhaustive_one_sided_check(3, "down", depth)),
+]
+
+
 @pytest.mark.parametrize("broken, fails_at", [((2, 0), 3), ((5, 1), 6)])
 def test_failing_walk_counts_only_the_paths_it_checked(monkeypatch, broken, fails_at):
-    class OffByOne(StoppedAdditive):
-        def _stake(self):
-            stake = super()._stake()
-            return stake + 1 if (self.n, self.s) == broken else stake
-
-    monkeypatch.setattr(verify, "StoppedAdditive", OffByOne)
     depth = 6
-    report = exhaustive_stopped_additive_check(Fraction(1, 2), depth)
-    path = report.counterexample
-    assert not report.passed and len(path) == fails_at
-    # the walk tries -1 before +1, so every +1 on the way skips a finished
-    # subtree; a failing leaf was checked too
-    finished = sum(1 << (depth - i) for i, x in enumerate(path, start=1) if x == 1)
-    assert report.paths_checked == finished + (fails_at == depth)
-    assert report.paths_checked < 1 << depth
+    for engine, check in ENGINE_CHECKS:
+        class OffByOne(getattr(verify, engine)):
+            def _stake(self):
+                stake = super()._stake()
+                return stake + 1 if (self.n, self.s) == broken else stake
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, engine, OffByOne)
+            report = check(depth)
+        path = report.counterexample
+        assert not report.passed and len(path) == fails_at, engine
+        # the walk tries -1 before +1, so every +1 on the way skips a finished
+        # subtree; a failing leaf was checked too
+        finished = sum(1 << (depth - i) for i, x in enumerate(path, start=1) if x == 1)
+        assert report.paths_checked == finished + (fails_at == depth), engine
+        assert report.paths_checked < 1 << depth
+
+
+def test_failing_oracle_walk_stops_at_its_first_node():
+    # with slack -10 the bound "fails" wherever it is first checked, at n = 2
+    report = exhaustive_log_bound_check(Fraction(1, 2), 6, slack=-10)
+    assert not report.passed
+    assert report.counterexample == (-1, -1)
+    assert report.paths_checked == 0
 
 
 def test_report_serialization():
