@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import pricing, verify
-from .game import GameError, GameTrace, NumericMode, fmt_number, run_game, spec_value
+from .game import GameError, fmt_number, run_game, spec_value
 from .pricing import PricingError
 from .reality import RealityError, parse_reality
 from .stopping import event_report, excursions
@@ -87,15 +87,14 @@ def _open_out(dest: str):
 
 
 def cmd_simulate(args) -> int:
-    mode = NumericMode(args.mode)
-    exact = mode is NumericMode.EXACT
+    exact = args.mode == "exact"
     strategy = parse_strategy(args.strategy, exact=exact)
     reality = parse_reality(
         args.reality,
         strategy_factory=lambda: parse_strategy(args.strategy, exact=exact),
         horizon=args.horizon)
-    initial = Fraction(args.initial) if exact else float(Fraction(args.initial))
-    trace = run_game(strategy, reality, args.horizon, initial_capital=initial, mode=mode)
+    initial = spec_value("--initial", args.initial, Fraction, GameError)
+    trace = run_game(strategy, reality, args.horizon, initial_capital=initial, exact=exact)
     out = _open_out(args.output)
     try:
         if args.format == "csv":

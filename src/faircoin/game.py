@@ -7,7 +7,9 @@ collateral (non-bankruptcy) checks stay explicit.
 
 Two numeric modes are supported: exact rational arithmetic (the default,
 used for all identity and pricing verification) and float64 for long
-simulations where exact denominators would blow up.
+simulations where exact denominators would blow up.  One ``exact: bool``
+flag chooses between them everywhere, and ``zero``, ``number`` and
+``ratio`` below are the one place that maps it to Fraction or float.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Sequence
@@ -31,9 +32,21 @@ class GameError(Exception):
 ZERO = Fraction(0)  # the stake of an idle round; Fractions are immutable, so one is shared
 
 
-class NumericMode(Enum):
-    EXACT = "exact"
-    FLOAT64 = "float64"
+def zero(exact: bool):
+    """The zero of a numeric mode: a Fraction when exact, a float in float64 mode."""
+    return ZERO if exact else 0.0
+
+
+def number(v, exact: bool):
+    """v in the number type of a numeric mode: Fraction when exact, float otherwise."""
+    if exact:
+        return Fraction(v)
+    return float(v)
+
+
+def ratio(p: int, q: int, exact: bool):
+    """p / q in the number type of a numeric mode, without a division of Fractions."""
+    return Fraction(p, q) if exact else p / q
 
 
 def validate_move(x: int) -> int:
@@ -129,12 +142,12 @@ class GameTrace:
     """
 
     initial_capital: Fraction | float = Fraction(1)
-    mode: NumericMode = NumericMode.EXACT
+    exact: bool = True
     rounds: list[Round] = field(default_factory=list)
 
     @property
     def final_capital(self):
-        return self.rounds[-1].capital if self.rounds else self._zero()
+        return self.rounds[-1].capital if self.rounds else zero(self.exact)
 
     @property
     def final_s(self) -> int:
@@ -144,19 +157,16 @@ class GameTrace:
     def moves(self) -> tuple[int, ...]:
         return tuple(r.x for r in self.rounds)
 
-    def _zero(self):
-        return 0.0 if self.mode is NumericMode.FLOAT64 else ZERO
-
     def play(self, stake, move: int) -> "GameTrace":
         validate_move(move)
         prev = self.rounds[-1] if self.rounds else None
-        k_prev = prev.capital if prev else self._zero()
+        k_prev = prev.capital if prev else zero(self.exact)
         s_prev = prev.s if prev else 0
         n = (prev.n if prev else 0) + 1
-        if self.mode is NumericMode.FLOAT64:
+        if not self.exact:
             stake = float(stake)
         capital = settle(k_prev, stake, move)
-        if self.mode is NumericMode.FLOAT64 and not math.isfinite(capital):
+        if not self.exact and not math.isfinite(capital):
             raise GameError(f"capital overflowed float64 range at round {n}")
         self.rounds.append(Round(n=n, x=move, stake=stake, capital=capital, s=s_prev + move))
         return self
@@ -185,12 +195,12 @@ class GameTrace:
 
     @classmethod
     def read_csv(cls, f: IO[str], initial_capital=Fraction(1),
-                 mode: NumericMode = NumericMode.EXACT) -> "GameTrace":
+                 exact: bool = True) -> "GameTrace":
         reader = csv.reader(f)
         header = next(reader)
         if tuple(header) != cls.CSV_COLUMNS:
             raise GameError(f"unexpected CSV header {header!r}")
-        trace = cls(initial_capital=initial_capital, mode=mode)
+        trace = cls(initial_capital=initial_capital, exact=exact)
         for row in reader:
             trace._append_read(f"CSV line {reader.line_num}", row)
         return trace
@@ -202,8 +212,8 @@ class GameTrace:
 
     @classmethod
     def read_jsonl(cls, f: IO[str], initial_capital=Fraction(1),
-                   mode: NumericMode = NumericMode.EXACT) -> "GameTrace":
-        trace = cls(initial_capital=initial_capital, mode=mode)
+                   exact: bool = True) -> "GameTrace":
+        trace = cls(initial_capital=initial_capital, exact=exact)
         for i, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -222,10 +232,10 @@ class GameTrace:
         try:
             n, x, m, k, s = row
             n, x, s = int(n), int(x), int(s)
-            m, k = parse_number(m, self.mode), parse_number(k, self.mode)
+            m, k = parse_number(m, self.exact), parse_number(k, self.exact)
         except (ValueError, ArithmeticError) as exc:
             raise GameError(f"{where}: cannot read row {row!r}: {exc}") from None
-        prev = self.rounds[-1] if self.rounds else Round(0, 0, 0, self._zero(), 0)
+        prev = self.rounds[-1] if self.rounds else Round(0, 0, 0, zero(self.exact), 0)
         if n != prev.n + 1 or x not in (-1, 1) or s != prev.s + x or k != prev.capital + m * x:
             raise GameError(f"{where}: row {row!r} does not follow round n={prev.n}, "
                             f"s={prev.s}, K={fmt_number(prev.capital)}")
@@ -250,8 +260,8 @@ def fmt_number(v) -> str:
 _INTEGER_RATIO = re.compile(r"[-+]?\d+(/\d+)?")
 
 
-def parse_number(text: str, mode: NumericMode = NumericMode.EXACT):
-    if mode is NumericMode.FLOAT64:
+def parse_number(text: str, exact: bool = True):
+    if not exact:
         return float(Fraction(text)) if "/" in text else float(text)
     try:
         return Fraction(text)
@@ -298,15 +308,16 @@ def spec_args(rest: str, error: type[Exception]):
 
 
 def run_game(strategy, reality, horizon: int, initial_capital=Fraction(1),
-             mode: NumericMode = NumericMode.EXACT) -> GameTrace:
+             exact: bool = True) -> GameTrace:
     """Play ``horizon`` rounds of the protocol.
 
     The strategy sees x_1..x_{n-1} through its own observe() calls before
-    announcing M_n; Reality sees M_n before announcing x_n.
+    announcing M_n; Reality sees M_n before announcing x_n.  ``exact``
+    sets the trace's number type, apart from the strategy's own mode.
     """
     if horizon < 0:
         raise GameError("horizon must be >= 0")
-    trace = GameTrace(initial_capital=initial_capital, mode=mode)
+    trace = GameTrace(initial_capital=number(initial_capital, exact), exact=exact)
     history: list[int] = []
     for _ in range(horizon):
         stake = strategy.next_stake()

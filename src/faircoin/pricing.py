@@ -47,6 +47,8 @@ def _strip_widths(l: int, horizon: int) -> list[int]:
     Round n can widen the strip by one step from round n - 1, up to the
     boundary radius isqrt(n + l) - 1, and keeps the parity of n.
     """
+    if l < 0:
+        raise PricingError("offset l must be >= 0")
     widths = [0]
     for n in range(1, horizon + 1):
         w = widths[-1]
@@ -131,8 +133,6 @@ def eta_table(l: int, horizon: int, tail_value: str = "zero",
     """
     if horizon < 1:
         raise PricingError("horizon must be >= 1")
-    if l < 0:
-        raise PricingError("offset l must be >= 0")
     if tail_value not in TAIL_VALUES:
         raise PricingError(f"tail_value must be one of {TAIL_VALUES}")
     if payoff_side not in ("negative", "positive"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .game import moves_of
+from .game import fmt_number, moves_of
 
 
 def boundary_exceeds(n: int, s: int, offset: int = 0) -> bool:
@@ -126,7 +126,7 @@ class EventReport:
             "max_s": self.max_s,
             "min_s": self.min_s,
             "max_abs_s": self.max_abs_s,
-            "max_n_xbar_sq": f"{self.max_n_xbar_sq.numerator}/{self.max_n_xbar_sq.denominator}",
+            "max_n_xbar_sq": fmt_number(self.max_n_xbar_sq),
         }
 
 

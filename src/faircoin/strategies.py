@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import pricing
-from .game import ZERO, Situation, settle, spec_args, spec_value
+from .game import ZERO, Situation, number, ratio, settle, spec_args, spec_value, zero
 from .stopping import boundary_exceeds
 
 
@@ -21,17 +21,13 @@ class StrategyError(Exception):
     pass
 
 
-def _rat(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
 class Strategy:
     """Base bettor: call next_stake() then observe() once per round."""
 
     def __init__(self, initial_capital=Fraction(1), exact: bool = True):
         self.exact = exact
-        self.initial_capital = _rat(initial_capital) if exact else float(initial_capital)
-        self.gain = self._zero()
+        self.initial_capital = number(initial_capital, exact)
+        self.gain = zero(exact)
         self.n = 0
         self.s = 0
         self.stopped = False
@@ -44,7 +40,7 @@ class Strategy:
     def next_stake(self):
         if self._pending is not None:
             raise StrategyError("next_stake() called twice without observe()")
-        stake = self._zero() if self.stopped else self._stake()
+        stake = zero(self.exact) if self.stopped else self._stake()
         self._pending = stake
         return stake
 
@@ -57,9 +53,6 @@ class Strategy:
         self.n += 1
         self.s += x
         self._after(x)
-
-    def _zero(self):
-        return ZERO if self.exact else 0.0
 
     def _stake(self):
         raise NotImplementedError
@@ -99,16 +92,16 @@ class MultiplicativeContrarian(Strategy):
     """
 
     def __init__(self, c, exact: bool = True):
-        c = _rat(c)
+        c = Fraction(c)
         if not 0 < c <= Fraction(1, 2):
             raise StrategyError(f"c must be in (0, 1/2], got {c}")
         super().__init__(Fraction(1), exact=exact)
-        self.c = c if exact else float(c)
+        self.c = number(c, exact)
 
     def _stake(self):
         if self.n == 0:
-            return self._zero()
-        xbar = Fraction(self.s, self.n) if self.exact else self.s / self.n
+            return zero(self.exact)
+        xbar = ratio(self.s, self.n, self.exact)
         return -self.c * xbar * self.wealth
 
     def state_key(self):
@@ -119,11 +112,11 @@ class AdditiveContrarian(Strategy):
     """Bets -eps * s_{n-1}, ignoring the collateral duty (unstopped)."""
 
     def __init__(self, eps, exact: bool = True):
-        eps = _rat(eps)
+        eps = Fraction(eps)
         if eps <= 0:
             raise StrategyError(f"eps must be > 0, got {eps}")
         super().__init__(Fraction(1), exact=exact)
-        self.eps = eps if exact else float(eps)
+        self.eps = number(eps, exact)
 
     def _stake(self):
         return -self.eps * self.s
@@ -142,19 +135,19 @@ class StoppedAdditive(Strategy):
     """
 
     def __init__(self, eps, exact: bool = True):
-        eps = _rat(eps)
+        eps = Fraction(eps)
         m = Fraction(2) / eps if eps > 0 else Fraction(0)
         if m < 1 or m.denominator != 1:
             raise StrategyError(f"eps must be 2/m for a positive integer m, got {eps}")
         super().__init__(Fraction(1), exact=exact)
         self.m = int(m)
-        self.eps = eps if exact else float(eps)
+        self.eps = number(eps, exact)
 
     def _stake(self):
         i = self.n + 1
         if (abs(self.s) + 1) ** 2 > i + self.m:
             self.stopped = True
-            return self._zero()
+            return zero(self.exact)
         return -self.eps * self.s
 
     def state_key(self):
@@ -176,10 +169,10 @@ class OneSided(Strategy):
         super().__init__(Fraction(1), exact=exact)
         self.N = N
         self.direction = direction
+        self._unit = ratio(1 if direction == "down" else -1, N, exact)
 
     def _stake(self):
-        unit = Fraction(1, self.N) if self.exact else 1.0 / self.N
-        return unit if self.direction == "down" else -unit
+        return self._unit
 
     def _after(self, x: int) -> None:
         if not self.stopped:
@@ -200,7 +193,7 @@ class PathBettor(Strategy):
     """
 
     def __init__(self, target, budget, exact: bool = True):
-        budget = _rat(budget)
+        budget = Fraction(budget)
         if budget <= 0:
             raise StrategyError(f"budget must be > 0, got {budget}")
         target = tuple(target)
@@ -209,12 +202,10 @@ class PathBettor(Strategy):
                 raise StrategyError(f"target moves must be +-1, got {y!r}")
         super().__init__(budget, exact=exact)
         self.target = target
-        if not exact:
-            self.initial_capital = float(budget)
 
     def _stake(self):
         if self.n >= len(self.target):
-            return self._zero()
+            return zero(self.exact)
         return self.target[self.n] * self.wealth
 
     def state_key(self):
@@ -230,8 +221,8 @@ class Mixture(Strategy):
     """
 
     def __init__(self, components, tail_weight=Fraction(0), exact: bool = True):
-        components = [(_rat(w), strat) for w, strat in components]
-        tail_weight = _rat(tail_weight)
+        components = [(Fraction(w), strat) for w, strat in components]
+        tail_weight = Fraction(tail_weight)
         if any(w <= 0 for w, _ in components):
             raise StrategyError("component weights must be > 0")
         if tail_weight < 0:
@@ -241,20 +232,18 @@ class Mixture(Strategy):
             raise StrategyError(f"weights plus tail must sum to 1, got {total}")
         initial = sum((w * s.initial_capital for w, s in components), tail_weight)
         super().__init__(initial, exact=exact)
-        if not exact:
-            components = [(float(w), s) for w, s in components]
-        self.components = components
-        self.tail_weight = tail_weight if exact else float(tail_weight)
+        self.components = [(number(w, exact), s) for w, s in components]
+        self.tail_weight = number(tail_weight, exact)
 
     def _stake(self):
-        return sum((w * s.next_stake() for w, s in self.components), self._zero())
+        return sum((w * s.next_stake() for w, s in self.components), zero(self.exact))
 
     def _after(self, x: int) -> None:
         for _, s in self.components:
             s.observe(x)
 
     def component_gain(self):
-        return sum((w * s.gain for w, s in self.components), self._zero())
+        return sum((w * s.gain for w, s in self.components), zero(self.exact))
 
     def clone(self) -> "Mixture":
         new = super().clone()
@@ -437,7 +426,7 @@ class ZeroStrategy(Strategy):
     """Never bets; useful as a mixture filler and in tests."""
 
     def _stake(self):
-        return self._zero()
+        return zero(self.exact)
 
     def state_key(self):
         return ("zero",)

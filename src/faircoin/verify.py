@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import moves_of
+from .game import fmt_number, moves_of
 from .strategies import (
     AdditiveContrarian,
     MultiplicativeContrarian,
@@ -51,8 +51,7 @@ class IdentityReport:
         return {
             "identity": self.identity,
             "paths_checked": self.paths_checked,
-            "max_discrepancy": (f"{disc.numerator}/{disc.denominator}"
-                                if isinstance(disc, Fraction) else disc),
+            "max_discrepancy": fmt_number(disc) if isinstance(disc, Fraction) else disc,
             "counterexample": list(self.counterexample) if self.counterexample else None,
             "passed": self.passed,
         }

@@ -190,6 +190,12 @@ def _simulate(strategy="zero", reality="alt"):
                                       "mix:[1/2@mulc:c=1/2;x]")),
     ["verify", "--check", "product-capital", "--depth", "2", "--c", "x"],
     ["verify", "--check", "additive-closed-form", "--depth", "2", "--eps", "x"],
+    _simulate() + ["--initial", "x"],
+    _simulate() + ["--initial", "1/0"],
+    # a negative offset is refused by the strip kernel all three share
+    ["census", "--l", "-2", "--k", "3"],
+    ["price", "--l", "-1", "--horizon", "3", "--series"],
+    ["price", "--l", "-1", "--horizon", "3"],
 ])
 def test_domain_error_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2

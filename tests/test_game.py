@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from faircoin.game import (
     GameError,
     GameTrace,
-    NumericMode,
     Situation,
     check_collateral,
     fmt_number,
@@ -140,7 +139,7 @@ def test_number_round_trip_exact(value):
 
 
 def test_number_round_trip_float():
-    assert parse_number(fmt_number(0.125), NumericMode.FLOAT64) == 0.125
+    assert parse_number(fmt_number(0.125), exact=False) == 0.125
 
 
 def _example_trace():
@@ -222,10 +221,10 @@ def test_jsonl_reader_rejects_inconsistent_rows(bad):
 def test_float_reader_compares_k_exactly():
     # 0.1 + 0.2 is not 0.3 in float64, so a written float trace must carry K as summed
     body = HEADER + "1,1,0.1,0.1,1\n2,1,0.2,0.30000000000000004,2\n"
-    assert GameTrace.read_csv(io.StringIO(body), mode=NumericMode.FLOAT64).final_capital == 0.1 + 0.2
+    assert GameTrace.read_csv(io.StringIO(body), exact=False).final_capital == 0.1 + 0.2
     with pytest.raises(GameError, match="CSV line 3"):
         GameTrace.read_csv(io.StringIO(body.replace("0.30000000000000004", "0.3")),
-                           mode=NumericMode.FLOAT64)
+                           exact=False)
 
 
 # stopped strategies cover rows with a zero stake
@@ -234,15 +233,15 @@ ROUND_TRIP_SPECS = ["stopadd:eps=1", "oneside:N=2,dir=down", "mulc:c=1/2", "q:de
 
 
 @given(st.lists(st.sampled_from([-1, 1]), max_size=60), st.sampled_from(ROUND_TRIP_SPECS),
-       st.sampled_from(list(NumericMode)), st.sampled_from(["csv", "jsonl"]))
+       st.booleans(), st.sampled_from(["csv", "jsonl"]))
 @settings(deadline=None, max_examples=80)
-def test_simulate_write_read_round_trip(moves, spec, mode, fmt):
-    strategy = parse_strategy(spec, exact=mode is NumericMode.EXACT)
-    trace = run_game(strategy, FixedPath(moves), len(moves), mode=mode)
+def test_simulate_write_read_round_trip(moves, spec, exact, fmt):
+    strategy = parse_strategy(spec, exact=exact)
+    trace = run_game(strategy, FixedPath(moves), len(moves), exact=exact)
     buf = io.StringIO()
     getattr(trace, f"write_{fmt}")(buf)
     buf.seek(0)
-    back = getattr(GameTrace, f"read_{fmt}")(buf, mode=mode)
+    back = getattr(GameTrace, f"read_{fmt}")(buf, exact=exact)
     assert back.rounds == trace.rounds
     assert [type(r.capital) for r in back.rounds] == [type(r.capital) for r in trace.rounds]
 
@@ -264,7 +263,7 @@ def test_run_game_deterministic_replay():
 
 
 def test_float64_overflow_detection():
-    trace = GameTrace(mode=NumericMode.FLOAT64)
+    trace = GameTrace(exact=False)
     trace.play(1e308, 1)
     with pytest.raises(GameError):
         trace.play(1e308, 1)

@@ -255,6 +255,14 @@ def test_absorbed_situations_agree_with_census():
         assert tuple(by_len) == census.a
 
 
+@pytest.mark.parametrize("sweep", [bracket_series, enumerate_absorption])
+def test_sweeps_reject_a_negative_offset(sweep):
+    with pytest.raises(PricingError, match="offset l must be >= 0"):
+        sweep(-1, 3)
+    with pytest.raises(PricingError, match="offset l must be >= 0"):
+        sweep(-2, 3)
+
+
 # -- replication ------------------------------------------------------------
 
 def test_replicate_l0_one_step():

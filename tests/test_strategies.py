@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircoin.game import NumericMode, run_game
+from faircoin.game import run_game
 from faircoin.reality import FixedPath
 from faircoin.strategies import (
     AdditiveContrarian,
@@ -460,9 +460,8 @@ def _running_sums(start, stakes, moves):
 @settings(deadline=None, max_examples=80)
 def test_replayed_csv_matches_plain_running_sum(moves, spec, exact):
     strategy = parse_strategy(spec, exact=exact)
-    mode = NumericMode.EXACT if exact else NumericMode.FLOAT64
     buf = io.StringIO()
-    run_game(strategy, FixedPath(moves), len(moves), mode=mode).write_csv(buf)
+    run_game(strategy, FixedPath(moves), len(moves), exact=exact).write_csv(buf)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
     num = Fraction if exact else float
     k, s = num(0), 0
@@ -478,26 +477,25 @@ def test_replayed_csv_matches_plain_running_sum(moves, spec, exact):
 # Zero stakes of another number type than the account: the account takes
 # whatever type k + stake * x has, so a float zero turns a Fraction into a float.
 MIXED = [
-    ("exact stop rule, exact trace", lambda: StoppedAdditive(1), NumericMode.EXACT, Fraction),
-    ("float zero bettor, exact trace", lambda: ZeroStrategy(exact=False), NumericMode.EXACT, float),
-    ("float stop rule, exact trace", lambda: StoppedAdditive(1, exact=False), NumericMode.EXACT,
-     float),
-    ("exact one-sided, float trace", lambda: OneSided(1), NumericMode.FLOAT64, float),
+    ("exact stop rule, exact trace", lambda: StoppedAdditive(1), True, Fraction),
+    ("float zero bettor, exact trace", lambda: ZeroStrategy(exact=False), True, float),
+    ("float stop rule, exact trace", lambda: StoppedAdditive(1, exact=False), True, float),
+    ("exact one-sided, float trace", lambda: OneSided(1), False, float),
     ("exact mixture of float and exact parts",
      lambda: Mixture([(Fraction(1, 2), StoppedAdditive(1, exact=False)),
-                      (Fraction(1, 2), OneSided(1))]), NumericMode.EXACT, float),
+                      (Fraction(1, 2), OneSided(1))]), True, float),
     ("float mixture of exact parts",
      lambda: Mixture([(Fraction(1, 2), StoppedAdditive(1)), (Fraction(1, 2), OneSided(1))],
-                     exact=False), NumericMode.EXACT, float),
+                     exact=False), True, float),
 ]
 
 
-@pytest.mark.parametrize("make, mode, capital_type", [case[1:] for case in MIXED],
+@pytest.mark.parametrize("make, exact, capital_type", [case[1:] for case in MIXED],
                          ids=[case[0] for case in MIXED])
-def test_mixed_number_types_follow_the_plain_sum(make, mode, capital_type):
+def test_mixed_number_types_follow_the_plain_sum(make, exact, capital_type):
     moves = [-1, -1, 1, 1, 1, -1, -1, -1]
-    zero = Fraction(0) if mode is NumericMode.EXACT else 0.0
-    trace = run_game(make(), FixedPath(moves), len(moves), mode=mode)
+    zero = Fraction(0) if exact else 0.0
+    trace = run_game(make(), FixedPath(moves), len(moves), exact=exact)
     assert type(trace.final_capital) is capital_type
     want = _running_sums(zero, [r.stake for r in trace.rounds], moves)
     assert [(type(r.capital), r.capital) for r in trace.rounds] == [(type(k), k) for k in want]
@@ -506,3 +504,32 @@ def test_mixed_number_types_follow_the_plain_sum(make, mode, capital_type):
     stakes = feed(strategy, moves)
     want = _running_sums(Fraction(0) if strategy.exact else 0.0, stakes, moves)[-1]
     assert (type(strategy.gain), strategy.gain) == (type(want), want)
+
+
+# -- one numeric-mode switch ------------------------------------------------
+
+# one spec per parse_strategy kind; the path stops stopadd, oneside and
+# pathbet (zero stakes) and starts a signforce hedge at its origin return
+SWITCH_SPECS = ["mulc:c=1/2", "addc:eps=2/7", "stopadd:eps=2/4", "oneside:N=2,dir=down",
+                "pathbet:target=+1-1,budget=1/4", "signforce:cap=16", "q:depth=3", "zero",
+                "mix:[1/2@mulc:c=1/2;1/4@oneside:N=1;1/4]"]
+SWITCH_MOVES = [-1, -1, 1, 1, 1, -1, -1, -1, 1, 1]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("spec", SWITCH_SPECS)
+def test_exact_flag_sets_every_number_type(spec, exact):
+    # signforce hedges with exact value tables, so it is exact in both modes
+    num = Fraction if exact or spec.startswith("signforce") else float
+    strategy = parse_strategy(spec, exact=exact)
+    assert type(strategy.initial_capital) is num
+    stakes = feed(strategy, SWITCH_MOVES)
+    assert [type(m) for m in stakes] == [num] * len(SWITCH_MOVES)
+    assert type(strategy.gain) is num
+
+    trace = run_game(parse_strategy(spec, exact=exact), FixedPath(SWITCH_MOVES),
+                     len(SWITCH_MOVES), exact=exact)
+    want = Fraction if exact else float
+    assert type(trace.initial_capital) is want
+    assert {type(r.stake) for r in trace.rounds} | {type(r.capital) for r in trace.rounds} \
+        == {want}
