@@ -94,6 +94,8 @@ def cmd_simulate(args) -> int:
         strategy_factory=lambda: parse_strategy(args.strategy, exact=exact),
         horizon=args.horizon)
     initial = spec_value("--initial", args.initial, Fraction, GameError)
+    if initial < 0:
+        raise GameError(f"--initial must be >= 0, got {args.initial}")
     trace = run_game(strategy, reality, args.horizon, initial_capital=initial, exact=exact)
     out = _open_out(args.output)
     try:

@@ -200,7 +200,7 @@ class GameTrace:
         header = next(reader)
         if tuple(header) != cls.CSV_COLUMNS:
             raise GameError(f"unexpected CSV header {header!r}")
-        trace = cls(initial_capital=initial_capital, exact=exact)
+        trace = cls(initial_capital=number(initial_capital, exact), exact=exact)
         for row in reader:
             trace._append_read(f"CSV line {reader.line_num}", row)
         return trace
@@ -213,7 +213,7 @@ class GameTrace:
     @classmethod
     def read_jsonl(cls, f: IO[str], initial_capital=Fraction(1),
                    exact: bool = True) -> "GameTrace":
-        trace = cls(initial_capital=initial_capital, exact=exact)
+        trace = cls(initial_capital=number(initial_capital, exact), exact=exact)
         for i, line in enumerate(f, start=1):
             if not line.strip():
                 continue

@@ -7,10 +7,11 @@ live strip: the states reachable from the root through unabsorbed states,
 with (|s| + 1)^2 <= n + l.  At round n the live sums form one parity class,
 s = -w_n, -w_n + 2, ..., w_n, so the strip is the list of half-widths w_n,
 found with one ``isqrt`` per level (``_strip_widths``).  Value tables are
-built by backward induction over the strip and absorption statistics by
-one forward sweep (``_absorption_sweep``).  All values are dyadic
-rationals, stored as integer numerators against a per-level power-of-two
-scale, so nothing is ever rounded.
+built by backward induction over the strip, absorption statistics by
+one forward sweep (``_absorption_sweep``), and the replication check by
+another that carries hedge wealths (``replicate_and_verify``).  All
+values are dyadic rationals, stored as integer numerators against a
+per-level power-of-two scale, so nothing is ever rounded.
 
 Infinite-horizon upper prices are represented as brackets: the backward
 induction is run once with tail value 0 and once with tail value 1 at the
@@ -20,7 +21,6 @@ is exactly the still-live probability mass at the horizon.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -243,144 +243,74 @@ def enumerate_absorption(l: int, k: int) -> AbsorptionCensus:
     return AbsorptionCensus(l=l, k=k, a=tuple(neg for neg, _ in _absorption_sweep(l, k)))
 
 
-def absorbed_negative_situations(l: int, k: int) -> list[tuple[int, ...]]:
-    """All situations of length <= k absorbed on the negative side.
+def replicate_and_verify(l: int, horizon: int) -> dict:
+    """Constructively verify replication of the ticket to a horizon.
 
-    Depth-first over live prefixes; used to assemble path-bettor
-    replication portfolios, so k should stay modest.
+    One forward sweep over the live strip, level by level from the root,
+    carries two wealths per state (n, s): the delta hedge of the ``one``
+    table, started at the upper bracket root, and the path-bettor
+    portfolio, the delta hedge of the ``zero`` table started at the
+    census budget sum a_i * 2^-i.  Both stay nonnegative; at every absorbed
+    child the hedge dominates the payoff and the portfolio pays it exactly
+    (1 below, 0 above).  Two parents that reach one live child must bring
+    it the same wealth, so wealth is a function of (n, s) and these checks
+    cover all 2**horizon paths.  The portfolio is a fair-coin martingale
+    that starts at the census cost and pays exactly the absorbed-negative
+    mass, so staying nonnegative leaves it 0 wherever the walk is still
+    live at the horizon.  The counts are path counts, summed from the
+    sweep's path multiplicities.  Raises PricingError on any violation.
     """
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    while stack:
-        prefix, s = stack.pop()
-        n = len(prefix) + 1
-        if n > k:
-            continue
-        for x in (-1, 1):
-            c = s + x
-            if boundary_exceeds(n, c, l):
-                if c < 0:
-                    out.append(prefix + (x,))
-            else:
-                stack.append((prefix + (x,), c))
-    out.sort(key=lambda t: (len(t), t))
-    return out
-
-
-class _BettorTrie:
-    """Trie over target situations, annotated with subtree budget mass."""
-
-    __slots__ = ("children", "mass", "terminal")
-
-    def __init__(self):
-        self.children: dict[int, _BettorTrie] = {}
-        self.mass = Fraction(0)
-        self.terminal = False
-
-    @classmethod
-    def build(cls, targets: list[tuple[int, ...]]) -> "_BettorTrie":
-        root = cls()
-        for t in targets:
-            budget = Fraction(1, 1 << len(t))
-            node = root
-            node.mass += budget
-            for x in t:
-                node = node.children.setdefault(x, cls())
-                node.mass += budget
-            node.terminal = True
-        return root
-
-
-def replicate_and_verify(l: int, horizon: int, cap: int | None = None) -> dict:
-    """Constructively verify superreplication of the ticket to a horizon.
-
-    Plays the delta hedge from the upper bracket root on every path
-    (absorbed subtrees are frozen, so the walk covers all 2**horizon paths
-    implicitly) and asserts final wealth dominates the payoff; then plays
-    the path-bettor portfolio with budgets a_i * 2^-i and asserts it pays
-    exactly 1 on every absorbed-negative cylinder and stays nonnegative.
-    Raises PricingError on any violation.
-    """
-    if cap is None:
-        text = os.environ.get("FAIRCOIN_REPLICATION_CAP", "20")
-        try:
-            cap = int(text)
-        except ValueError:
-            raise PricingError(
-                f"FAIRCOIN_REPLICATION_CAP must be an integer, got {text!r}") from None
-    if horizon > cap:
-        raise PricingError(f"replication horizon {horizon} exceeds cap {cap}")
-    table = eta_table(l, horizon, "one")
-    start = table.root_value
-    hedge_nodes = 0
-    absorbed_checked = 0
-
-    # (n, s, wealth); hedge stops at absorption so those subtrees are constant
-    stack = [(0, 0, start)]
-    while stack:
-        n, s, w = stack.pop()
-        hedge_nodes += 1
-        if w < 0:
-            raise PricingError(f"hedge wealth negative at (n={n}, s={s}): {w}")
-        if n == horizon:
-            continue
-        bet = delta_hedge_bet(table, n, s)
-        for x in (-1, 1):
-            c = s + x
-            w2 = w + bet * x
-            if boundary_exceeds(n + 1, c, l):
+    one = eta_table(l, horizon, "one")
+    zero = eta_table(l, horizon, "zero")
+    census = enumerate_absorption(l, horizon)
+    if zero.root_value != census.budget_sum:
+        raise PricingError("portfolio cost disagrees with absorption census")
+    hedge_states = 1
+    absorbed = 0
+    portfolio_nodes = 3  # the root and its two children
+    level = {0: (1, one.root_value, zero.root_value)}  # s -> (paths, hedge, portfolio)
+    for n in range(horizon + 1):
+        nxt: dict[int, tuple[int, Fraction, Fraction]] = {}
+        for s, (paths, hedge, folio) in level.items():
+            if hedge < 0 or folio < 0:
+                raise PricingError(f"wealth negative at (n={n}, s={s}): "
+                                   f"hedge {hedge}, portfolio {folio}")
+            if n == horizon:
+                continue
+            if n and folio > 0:  # an absorbed-negative state lies below: both children count
+                portfolio_nodes += 2 * paths
+            hedge_bet = delta_hedge_bet(one, n, s)
+            folio_bet = delta_hedge_bet(zero, n, s)
+            for x in (-1, 1):
+                c = s + x
+                wealth = (hedge + hedge_bet * x, folio + folio_bet * x)
+                if one.is_live(n + 1, c):
+                    seen = nxt.setdefault(c, (0, *wealth))
+                    if seen[1:] != wealth:
+                        raise PricingError(f"two paths reach (n={n + 1}, s={c}) "
+                                           f"with different wealth")
+                    nxt[c] = (seen[0] + paths, *wealth)
+                    continue
                 payoff = _absorbed_payoff(c, "negative")
-                if w2 < payoff:
+                if wealth[0] < payoff:
                     raise PricingError(
                         f"hedge fails to superreplicate at (n={n + 1}, s={c}): "
-                        f"wealth {w2} < payoff {payoff}")
-                absorbed_checked += 1
-            else:
-                stack.append((n + 1, c, w2))
-
-    # path-bettor portfolio
-    targets = absorbed_negative_situations(l, horizon)
-    census = enumerate_absorption(l, horizon)
-    trie = _BettorTrie.build(targets)
-    if trie.mass != census.budget_sum:
-        raise PricingError("portfolio cost disagrees with absorption census")
-    portfolio_nodes = 0
-    # (trie node, n, wealth, won)
-    pstack: list[tuple[_BettorTrie | None, int, Fraction, bool]] = [
-        (trie, 0, trie.mass, False)]
-    while pstack:
-        node, n, w, won = pstack.pop()
-        portfolio_nodes += 1
-        expect = (Fraction(1) if won else Fraction(0))
-        if node is not None:
-            expect += node.mass * (1 << n)
-        if w != expect or w < 0:
-            raise PricingError(f"portfolio wealth {w} off-book at depth {n}")
-        if won or node is None or n == horizon:
-            continue
-        up = node.children.get(1)
-        dn = node.children.get(-1)
-        up_m = up.mass if up else Fraction(0)
-        dn_m = dn.mass if dn else Fraction(0)
-        stake = (up_m - dn_m) * (1 << n)
-        for x, child in ((1, up), (-1, dn)):
-            w2 = w + stake * x
-            if child is not None and child.terminal:
-                if w2 != 1:
-                    raise PricingError(
-                        f"portfolio pays {w2} != 1 on an absorbed-negative cylinder")
-                pstack.append((None, n + 1, w2, True))
-            else:
-                pstack.append((child, n + 1, w2, won))
+                        f"wealth {wealth[0]} < payoff {payoff}")
+                if wealth[1] != payoff:
+                    raise PricingError(f"portfolio pays {wealth[1]} != {payoff} "
+                                       f"at absorbed state (n={n + 1}, s={c})")
+                absorbed += paths
+        hedge_states += sum(paths for paths, _, _ in nxt.values())
+        level = nxt
 
     return {
         "l": l,
         "horizon": horizon,
-        "upper_start": start,
-        "hedge_states_checked": hedge_nodes,
-        "absorptions_checked": absorbed_checked,
-        "portfolio_targets": len(targets),
-        "portfolio_cost": trie.mass,
+        "upper_start": one.root_value,
+        "hedge_states_checked": hedge_states,
+        "absorptions_checked": absorbed,
+        "portfolio_targets": sum(census.a),
+        "portfolio_cost": zero.root_value,
         "portfolio_nodes_checked": portfolio_nodes,
         "ok": True,
     }

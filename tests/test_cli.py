@@ -196,6 +196,7 @@ def _simulate(strategy="zero", reality="alt"):
     ["census", "--l", "-2", "--k", "3"],
     ["price", "--l", "-1", "--horizon", "3", "--series"],
     ["price", "--l", "-1", "--horizon", "3"],
+    _simulate() + ["--initial", "-7"],
 ])
 def test_domain_error_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2

@@ -227,6 +227,17 @@ def test_float_reader_compares_k_exactly():
                            exact=False)
 
 
+@pytest.mark.parametrize("read, body", [
+    (GameTrace.read_csv, HEADER + "1,1,0.5,0.5,1\n"),
+    (GameTrace.read_jsonl, '{"n": 1, "x": 1, "M": "0.5", "K": "0.5", "s": 1}\n'),
+], ids=["csv", "jsonl"])
+def test_float_reader_gives_float_wealth(read, body):
+    # like run_game(..., exact=False), the initial capital takes the trace's type
+    trace = read(io.StringIO(body), exact=False)
+    assert [type(trace.wealth(i)) for i in range(2)] == [float, float]
+    assert trace.wealth(1) == 1.5
+
+
 # stopped strategies cover rows with a zero stake
 ROUND_TRIP_SPECS = ["stopadd:eps=1", "oneside:N=2,dir=down", "mulc:c=1/2", "q:depth=3",
                     "signforce:cap=16", "zero"]

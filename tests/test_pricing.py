@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircoin import pricing
 from faircoin.pricing import (
     PricingError,
-    absorbed_negative_situations,
     bracket_series,
     delta_hedge_bet,
     enumerate_absorption,
@@ -255,7 +255,7 @@ def test_absorbed_situations_agree_with_census():
         assert tuple(by_len) == census.a
 
 
-@pytest.mark.parametrize("sweep", [bracket_series, enumerate_absorption])
+@pytest.mark.parametrize("sweep", [bracket_series, enumerate_absorption, replicate_and_verify])
 def test_sweeps_reject_a_negative_offset(sweep):
     with pytest.raises(PricingError, match="offset l must be >= 0"):
         sweep(-1, 3)
@@ -283,12 +283,170 @@ def test_replicate_portfolio_cost_example():
     assert report["portfolio_targets"] == 3
 
 
-def test_replicate_cap():
-    with pytest.raises(PricingError):
-        replicate_and_verify(0, 21, cap=20)
+def test_replicate_past_the_old_depth_cap():
+    # the strip sweep is polynomial in the horizon, so it has no depth cap
+    report = replicate_and_verify(4, 256)
+    census = enumerate_absorption(4, 256)
+    assert report["upper_start"] == bracket_series(4, 256)[-1].upper
+    assert report["portfolio_cost"] == census.budget_sum
+    assert report["portfolio_targets"] == sum(census.a)
 
 
-def test_replication_cap_env_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("FAIRCOIN_REPLICATION_CAP", "abc")
-    with pytest.raises(PricingError, match="FAIRCOIN_REPLICATION_CAP"):
-        replicate_and_verify(0, 1)
+@pytest.mark.parametrize("l", [0, 1, 4, 9])
+def test_replicate_matches_the_path_walk(l):
+    for h in range(1, 13):
+        assert replicate_and_verify(l, h) == path_walk_replicate_and_verify(l, h), h
+
+
+# each bad numerator is caught first by the check named in ``match``
+@pytest.mark.parametrize("tail, n, s, match", [
+    ("one", 4, 0, "hedge fails to superreplicate"),
+    ("zero", 4, 0, "portfolio pays 255/256 != 1"),
+    ("one", 7, -1, "two paths reach"),
+    ("zero", 7, -1, "two paths reach"),
+])
+def test_replication_catches_a_bad_table(monkeypatch, tail, n, s, match):
+    l, h = 9, 10
+    real = pricing.eta_table
+
+    def bad(l_, horizon, tail_value="zero", payoff_side="negative"):
+        table = real(l_, horizon, tail_value, payoff_side)
+        if tail_value == tail:  # the numerator at the live state (n, s) one too big
+            assert table.is_live(n, s)
+            table._levels[n][(s + table._widths[n]) // 2] += 1
+        return table
+
+    assert replicate_and_verify(l, h)["ok"]
+    monkeypatch.setattr(pricing, "eta_table", bad)
+    with pytest.raises(PricingError, match=match):
+        replicate_and_verify(l, h)
+
+
+# -- the path walk, kept as an independent oracle ---------------------------
+# Every path is played on its own: the delta hedge by a stack walk, and the
+# path-bettor portfolio by a walk over a trie of the enumerated
+# absorbed-negative situations.  Its cost grows like 2**horizon.
+
+def absorbed_negative_situations(l: int, k: int) -> list[tuple[int, ...]]:
+    """All situations of length <= k absorbed on the negative side.
+
+    Depth-first over live prefixes; used to assemble path-bettor
+    replication portfolios, so k should stay modest.
+    """
+    out: list[tuple[int, ...]] = []
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while stack:
+        prefix, s = stack.pop()
+        n = len(prefix) + 1
+        if n > k:
+            continue
+        for x in (-1, 1):
+            c = s + x
+            if boundary_exceeds(n, c, l):
+                if c < 0:
+                    out.append(prefix + (x,))
+            else:
+                stack.append((prefix + (x,), c))
+    out.sort(key=lambda t: (len(t), t))
+    return out
+
+
+class _BettorTrie:
+    """Trie over target situations, annotated with subtree budget mass."""
+
+    __slots__ = ("children", "mass", "terminal")
+
+    def __init__(self):
+        self.children: dict[int, _BettorTrie] = {}
+        self.mass = Fraction(0)
+        self.terminal = False
+
+    @classmethod
+    def build(cls, targets: list[tuple[int, ...]]) -> "_BettorTrie":
+        root = cls()
+        for t in targets:
+            budget = Fraction(1, 1 << len(t))
+            node = root
+            node.mass += budget
+            for x in t:
+                node = node.children.setdefault(x, cls())
+                node.mass += budget
+            node.terminal = True
+        return root
+
+
+def path_walk_replicate_and_verify(l: int, horizon: int) -> dict:
+    table = eta_table(l, horizon, "one")
+    start = table.root_value
+    hedge_nodes = 0
+    absorbed_checked = 0
+
+    # (n, s, wealth); hedge stops at absorption so those subtrees are constant
+    stack = [(0, 0, start)]
+    while stack:
+        n, s, w = stack.pop()
+        hedge_nodes += 1
+        if w < 0:
+            raise PricingError(f"hedge wealth negative at (n={n}, s={s}): {w}")
+        if n == horizon:
+            continue
+        bet = delta_hedge_bet(table, n, s)
+        for x in (-1, 1):
+            c = s + x
+            w2 = w + bet * x
+            if boundary_exceeds(n + 1, c, l):
+                payoff = 1 if c < 0 else 0
+                if w2 < payoff:
+                    raise PricingError(
+                        f"hedge fails to superreplicate at (n={n + 1}, s={c}): "
+                        f"wealth {w2} < payoff {payoff}")
+                absorbed_checked += 1
+            else:
+                stack.append((n + 1, c, w2))
+
+    # path-bettor portfolio
+    targets = absorbed_negative_situations(l, horizon)
+    census = enumerate_absorption(l, horizon)
+    trie = _BettorTrie.build(targets)
+    if trie.mass != census.budget_sum:
+        raise PricingError("portfolio cost disagrees with absorption census")
+    portfolio_nodes = 0
+    # (trie node, n, wealth, won)
+    pstack: list[tuple[_BettorTrie | None, int, Fraction, bool]] = [
+        (trie, 0, trie.mass, False)]
+    while pstack:
+        node, n, w, won = pstack.pop()
+        portfolio_nodes += 1
+        expect = (Fraction(1) if won else Fraction(0))
+        if node is not None:
+            expect += node.mass * (1 << n)
+        if w != expect or w < 0:
+            raise PricingError(f"portfolio wealth {w} off-book at depth {n}")
+        if won or node is None or n == horizon:
+            continue
+        up = node.children.get(1)
+        dn = node.children.get(-1)
+        up_m = up.mass if up else Fraction(0)
+        dn_m = dn.mass if dn else Fraction(0)
+        stake = (up_m - dn_m) * (1 << n)
+        for x, child in ((1, up), (-1, dn)):
+            w2 = w + stake * x
+            if child is not None and child.terminal:
+                if w2 != 1:
+                    raise PricingError(
+                        f"portfolio pays {w2} != 1 on an absorbed-negative cylinder")
+                pstack.append((None, n + 1, w2, True))
+            else:
+                pstack.append((child, n + 1, w2, won))
+
+    return {
+        "l": l,
+        "horizon": horizon,
+        "upper_start": start,
+        "hedge_states_checked": hedge_nodes,
+        "absorptions_checked": absorbed_checked,
+        "portfolio_targets": len(targets),
+        "portfolio_cost": trie.mass,
+        "portfolio_nodes_checked": portfolio_nodes,
+        "ok": True,
+    }

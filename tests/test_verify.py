@@ -127,7 +127,7 @@ def test_exhaustive_registry_and_caps():
 
 
 def test_bad_env_caps_fail_at_use_not_at_import(monkeypatch):
-    env = dict(os.environ, FAIRCOIN_EXHAUSTIVE_CAP="abc", FAIRCOIN_REPLICATION_CAP="abc",
+    env = dict(os.environ, FAIRCOIN_EXHAUSTIVE_CAP="abc",
                PYTHONPATH=str(Path(faircoin.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", "import faircoin"], env=env,
                           capture_output=True, text=True, timeout=60)
