@@ -13,11 +13,11 @@ import sys
 from fractions import Fraction
 
 from . import pricing, verify
-from .game import GameError, fmt_number, run_game, spec_value
+from .game import GameError, Situation, fmt_number, run_game, spec_value
 from .pricing import PricingError
-from .reality import RealityError, parse_reality
+from .reality import FixedPath, RealityError, parse_reality
 from .stopping import event_report, excursions
-from .strategies import StrategyError, parse_strategy
+from .strategies import StrategyError, ZeroStrategy, parse_strategy
 from .verify import VerifyError
 
 
@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("excursions", help="origin-departure / boundary-hit schedule")
     p.add_argument("--path", help="explicit move string, e.g. +1-1-1 or +--")
     p.add_argument("--reality", help="reality spec to generate the path instead")
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=int, default=None,
+                   help="rounds to play; defaults to the length of --path")
     p.set_defaults(func=cmd_excursions)
 
     return parser
@@ -153,19 +154,15 @@ def cmd_verify(args) -> int:
 
 def cmd_excursions(args) -> int:
     if (args.path is None) == (args.reality is None):
-        print("excursions: give exactly one of --path / --reality", file=sys.stderr)
-        return 2
+        raise RealityError("excursions needs exactly one of --path / --reality")
     if args.path is not None:
-        from .game import Situation
-        moves = Situation.from_string(args.path).moves
+        source = FixedPath(Situation.from_string(args.path).moves)
+        horizon = len(source.moves) if args.horizon is None else args.horizon
+    elif args.horizon is None:
+        raise RealityError("excursions --reality needs --horizon")
     else:
-        if args.horizon is None:
-            print("excursions: --reality needs --horizon", file=sys.stderr)
-            return 2
-        source = parse_reality(args.reality)
-        moves = []
-        for _ in range(args.horizon):
-            moves.append(source.next_move(moves, Fraction(0)))
+        source, horizon = parse_reality(args.reality), args.horizon
+    moves = run_game(ZeroStrategy(), source, horizon).moves
     schedule = excursions(moves)
     print(json.dumps({
         "rounds": len(moves),

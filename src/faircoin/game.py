@@ -108,9 +108,6 @@ class Situation:
     def __neg__(self) -> "Situation":
         return Situation(tuple(-x for x in self.moves))
 
-    def child(self, x: int) -> "Situation":
-        return Situation(self.moves + (validate_move(x),))
-
     @property
     def n(self) -> int:
         return len(self.moves)
@@ -138,7 +135,8 @@ class GameTrace:
     """Round-by-round record of one play-out.
 
     ``capital`` in each round is the zero-initial-capital gain K_n; total
-    wealth after round n is ``initial_capital + K_n``.
+    wealth after round n is ``initial_capital + K_n``.  The CSV and JSONL
+    forms do not record the initial capital; a trace read back starts at 1.
     """
 
     initial_capital: Fraction | float = Fraction(1)
@@ -148,10 +146,6 @@ class GameTrace:
     @property
     def final_capital(self):
         return self.rounds[-1].capital if self.rounds else zero(self.exact)
-
-    @property
-    def final_s(self) -> int:
-        return self.rounds[-1].s if self.rounds else 0
 
     @property
     def moves(self) -> tuple[int, ...]:
@@ -194,13 +188,12 @@ class GameTrace:
             writer.writerow([r.n, r.x, fmt_number(r.stake), fmt_number(r.capital), r.s])
 
     @classmethod
-    def read_csv(cls, f: IO[str], initial_capital=Fraction(1),
-                 exact: bool = True) -> "GameTrace":
+    def read_csv(cls, f: IO[str], exact: bool = True) -> "GameTrace":
         reader = csv.reader(f)
         header = next(reader)
         if tuple(header) != cls.CSV_COLUMNS:
             raise GameError(f"unexpected CSV header {header!r}")
-        trace = cls(initial_capital=number(initial_capital, exact), exact=exact)
+        trace = cls(initial_capital=number(1, exact), exact=exact)
         for row in reader:
             trace._append_read(f"CSV line {reader.line_num}", row)
         return trace
@@ -211,9 +204,8 @@ class GameTrace:
                                 "K": fmt_number(r.capital), "s": r.s}) + "\n")
 
     @classmethod
-    def read_jsonl(cls, f: IO[str], initial_capital=Fraction(1),
-                   exact: bool = True) -> "GameTrace":
-        trace = cls(initial_capital=number(initial_capital, exact), exact=exact)
+    def read_jsonl(cls, f: IO[str], exact: bool = True) -> "GameTrace":
+        trace = cls(initial_capital=number(1, exact), exact=exact)
         for i, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -318,18 +310,14 @@ def run_game(strategy, reality, horizon: int, initial_capital=Fraction(1),
     if horizon < 0:
         raise GameError("horizon must be >= 0")
     trace = GameTrace(initial_capital=number(initial_capital, exact), exact=exact)
-    history: list[int] = []
     for _ in range(horizon):
         stake = strategy.next_stake()
-        move = reality.next_move(history, stake)
-        validate_move(move)
+        move = reality.next_move(stake)
         trace.play(stake, move)
         strategy.observe(move)
-        history.append(move)
     return trace
 
 
-def check_collateral(trace: GameTrace, initial_capital=None) -> bool:
+def check_collateral(trace: GameTrace) -> bool:
     """True iff initial_capital + K_n >= 0 for every round of the trace."""
-    a = trace.initial_capital if initial_capital is None else initial_capital
-    return all(a + r.capital >= 0 for r in trace.rounds)
+    return all(trace.initial_capital + r.capital >= 0 for r in trace.rounds)

@@ -34,11 +34,9 @@ class PricingError(Exception):
     pass
 
 
-def _absorbed_payoff(s: int, payoff_side: str) -> int:
+def _absorbed_payoff(s: int) -> int:
     # the hitting sum is never 0, see stopping.ticket_Y
-    if payoff_side == "negative":
-        return 1 if s < 0 else 0
-    return 1 if s > 0 else 0
+    return 1 if s < 0 else 0
 
 
 def _strip_widths(l: int, horizon: int) -> list[int]:
@@ -84,7 +82,6 @@ class EtaTable:
     l: int
     horizon: int
     tail_value: str
-    payoff_side: str
     _widths: list[int]  # strip half-widths, see _strip_widths
     # numerators at scale 2**(horizon - n + 1), indexed by (s + w_n) // 2
     _levels: list[list[int]]
@@ -115,7 +112,7 @@ class EtaTable:
         if abs(s) > n or (s - n) % 2:
             raise PricingError(f"state (n={n}, s={s}) is impossible")
         if boundary_exceeds(n, s, self.l):
-            return _absorbed_payoff(s, self.payoff_side) << self._scale_bits(n)
+            return _absorbed_payoff(s) << self._scale_bits(n)
         raise PricingError(f"state (n={n}, s={s}) unreachable in this table")
 
     @property
@@ -123,8 +120,7 @@ class EtaTable:
         return self.value(0, 0)
 
 
-def eta_table(l: int, horizon: int, tail_value: str = "zero",
-              payoff_side: str = "negative") -> EtaTable:
+def eta_table(l: int, horizon: int, tail_value: str = "zero") -> EtaTable:
     """Build the exact value table by backward induction from the horizon.
 
     Live states at the horizon take ``tail_value`` (zero gives the lower
@@ -135,8 +131,6 @@ def eta_table(l: int, horizon: int, tail_value: str = "zero",
         raise PricingError("horizon must be >= 1")
     if tail_value not in TAIL_VALUES:
         raise PricingError(f"tail_value must be one of {TAIL_VALUES}")
-    if payoff_side not in ("negative", "positive"):
-        raise PricingError("payoff_side must be 'negative' or 'positive'")
 
     widths = _strip_widths(l, horizon)
     tail_num = {"zero": 0, "one": 2, "half": 1}[tail_value]  # scale 2**1
@@ -147,12 +141,12 @@ def eta_table(l: int, horizon: int, tail_value: str = "zero",
             # the outermost children are absorbed: pad with their payoffs
             # at the child scale 2**(horizon - n)
             child_bits = horizon - n
-            child = [_absorbed_payoff(-w - 1, payoff_side) << child_bits, *child,
-                     _absorbed_payoff(w + 1, payoff_side) << child_bits]
+            child = [_absorbed_payoff(-w - 1) << child_bits, *child,
+                     _absorbed_payoff(w + 1) << child_bits]
         levels.append([a + b for a, b in zip(child, child[1:])])  # parent scale doubles
     levels.reverse()
     return EtaTable(l=l, horizon=horizon, tail_value=tail_value,
-                    payoff_side=payoff_side, _widths=widths, _levels=levels)
+                    _widths=widths, _levels=levels)
 
 
 def delta_hedge_bet(table: EtaTable, n: int, s: int) -> Fraction:
@@ -291,7 +285,7 @@ def replicate_and_verify(l: int, horizon: int) -> dict:
                                            f"with different wealth")
                     nxt[c] = (seen[0] + paths, *wealth)
                     continue
-                payoff = _absorbed_payoff(c, "negative")
+                payoff = _absorbed_payoff(c)
                 if wealth[0] < payoff:
                     raise PricingError(
                         f"hedge fails to superreplicate at (n={n + 1}, s={c}): "

@@ -2,7 +2,7 @@
 
 Reality moves after seeing Skeptic's stake, so adversarial sources here
 are information-superior: the greedy source flips the sign of the stake,
-and the minimax source searches the full remaining game tree for the move
+and the minimax source searches the full game tree once for the move
 sequence minimizing Skeptic's final wealth, given the strategy's declared
 (clonable, deterministic) response function.
 """
@@ -21,7 +21,7 @@ class RealityError(Exception):
 
 
 class RealitySource:
-    def next_move(self, history, stake) -> int:
+    def next_move(self, stake) -> int:
         raise NotImplementedError
 
 
@@ -32,7 +32,7 @@ class FixedPath(RealitySource):
         self.moves = tuple(moves)
         self._i = 0
 
-    def next_move(self, history, stake) -> int:
+    def next_move(self, stake) -> int:
         if self._i >= len(self.moves):
             raise RealityError(f"fixed path exhausted after {len(self.moves)} moves")
         x = self.moves[self._i]
@@ -46,7 +46,7 @@ class Alternating(RealitySource):
     def __init__(self):
         self._i = 0
 
-    def next_move(self, history, stake) -> int:
+    def next_move(self, stake) -> int:
         self._i += 1
         return 1 if self._i % 2 else -1
 
@@ -55,10 +55,9 @@ class IIDCoin(RealitySource):
     """Seeded fair coin; bit-for-bit reproducible for a fixed seed."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = random.Random(seed)
 
-    def next_move(self, history, stake) -> int:
+    def next_move(self, stake) -> int:
         return 2 * self._rng.getrandbits(1) - 1
 
 
@@ -76,7 +75,7 @@ class Greedy(RealitySource):
             raise RealityError(f"tie-break must be -1 or +1, got {tie!r}")
         self.tie = tie
 
-    def next_move(self, history, stake) -> int:
+    def next_move(self, stake) -> int:
         if stake > 0:
             return -1
         if stake < 0:
@@ -127,12 +126,12 @@ def worst_case(strategy, rounds: int, objective: str = "final",
 
 
 class Minimax(RealitySource):
-    """Adversary that replays the strategy and searches the remaining tree.
+    """Adversary that plays the worst path of the strategy's game tree.
 
-    Needs its own copy of the strategy (``mirror``) to evaluate futures;
-    the mirror is kept in lockstep with the observed history, and each
-    announced stake is checked against it, so the searched opponent really
-    is the strategy being played.
+    It searches once, at the first move, on its own copy of the strategy
+    (``mirror``), then plays that path back.  The mirror is kept in
+    lockstep with the play, and each announced stake is checked against
+    it, so the searched opponent really is the strategy being played.
     """
 
     def __init__(self, strategy_factory, horizon: int,
@@ -140,22 +139,21 @@ class Minimax(RealitySource):
         self.horizon = horizon
         if horizon > depth_cap:
             raise RealityError(f"minimax depth {horizon} exceeds cap {depth_cap}")
-        self.mirror = strategy_factory() if callable(strategy_factory) else strategy_factory.clone()
-        self._round = 0
+        self.mirror = strategy_factory()
+        self._path = None
 
-    def next_move(self, history, stake) -> int:
-        left = self.horizon - self._round
-        if left < 1:
-            raise RealityError(f"minimax asked for move {self._round + 1} "
-                               f"past its horizon {self.horizon}")
-        _, path = worst_case(self.mirror, left, depth_cap=self.horizon)
+    def next_move(self, stake) -> int:
+        n = self.mirror.n  # the rounds played so far
+        if n >= self.horizon:
+            raise RealityError(f"minimax asked for move {n + 1} past its horizon {self.horizon}")
+        if self._path is None:
+            _, self._path = worst_case(self.mirror, self.horizon, depth_cap=self.horizon)
         expected = self.mirror.next_stake()
         if expected != stake:
             raise RealityError(
                 f"minimax mirror desynchronized: strategy bet {stake}, mirror {expected}")
-        self.mirror.observe(path[0])
-        self._round += 1
-        return path[0]
+        self.mirror.observe(self._path[n])
+        return self._path[n]
 
 
 def parse_reality(spec: str, strategy_factory=None, horizon: int | None = None) -> RealitySource:

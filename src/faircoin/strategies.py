@@ -309,34 +309,29 @@ class SignForcing(Strategy):
             raise StrategyError("hedge_cap must be >= 4")
         self.hedge_cap = hedge_cap
         self.run_horizon = run_horizon
-        self.phase = "wait_origin"
         self.excursion_log: list[ExcursionOutcome] = []
-        self._w = None
+        self._w = None  # the round the current excursion began; None while waiting for it
         self._w_wealth = None
-        self._table = None
-        self._truncated = False
+        self._table = None  # the running hedge's value table; None bets nothing
 
     def _stake(self):
-        if self.phase != "hedging" or self._table is None:
+        if self._table is None:
             return ZERO
         rel = self.n - self._w
         return self._w_wealth * pricing.delta_hedge_bet(self._table, rel, self.s)
 
     def _after(self, x: int) -> None:
-        if self.phase == "wait_origin":
+        if self._w is None:
             if self.s == 0:
                 self._start_excursion()
-        elif self.phase == "hedging":
-            if boundary_exceeds(self.n, self.s):
-                hedged = self._table is not None
-                self.excursion_log.append(ExcursionOutcome(
-                    w=self._w, v=self.n, side=1 if self.s > 0 else -1,
-                    multiplier=self.wealth / self._w_wealth, hedged=hedged))
-                self._table = None
-                self.phase = "wait_origin"
-            elif self._table is not None and self.n - self._w >= self._table.horizon:
-                self._table = None
-                self._truncated = True
+        elif boundary_exceeds(self.n, self.s):
+            self.excursion_log.append(ExcursionOutcome(
+                w=self._w, v=self.n, side=1 if self.s > 0 else -1,
+                multiplier=self.wealth / self._w_wealth, hedged=self._table is not None))
+            self._w = None
+            self._table = None
+        elif self._table is not None and self.n - self._w >= self._table.horizon:
+            self._table = None
 
     def _start_excursion(self) -> None:
         w = self.n
@@ -345,12 +340,8 @@ class SignForcing(Strategy):
             horizon = min(horizon, self.run_horizon - w)
         self._w = w
         self._w_wealth = self.wealth
-        self._truncated = False
-        if horizon >= 2 * w and horizon >= 1:
+        if horizon >= 2 * w:
             self._table = pricing.eta_table(w, horizon, "half")
-        else:
-            self._table = None
-        self.phase = "hedging"
 
     def clone(self) -> "SignForcing":
         new = super().clone()

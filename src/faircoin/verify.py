@@ -100,6 +100,13 @@ def summation_identity_sides(prefix) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
+def _log_bound_c(c) -> float:
+    c = Fraction(c)
+    if not 0 < c <= Fraction(1, 2):
+        raise VerifyError(f"the log bound is claimed only for 0 < c <= 1/2, got {c}")
+    return float(c)
+
+
 def log_capital_bound_margin(prefix, c) -> float:
     """log K_n minus its contrarian lower bound, evaluated in float.
 
@@ -107,7 +114,7 @@ def log_capital_bound_margin(prefix, c) -> float:
     + 2c sum xbar_{i-1}^2 + n xbar_n^2)}; the margin should stay positive
     (up to float noise) for every path and 0 < c <= 1/2.
     """
-    c = float(Fraction(c))
+    c = _log_bound_c(c)
     moves = moves_of(prefix)
     n = len(moves)
     if n < 2:
@@ -128,9 +135,9 @@ def log_capital_bound_margin(prefix, c) -> float:
     return log_k - rhs
 
 
-def log_capital_lower_bound_check(prefix, c, slack: float = LOG_BOUND_SLACK) -> IdentityReport:
+def log_capital_lower_bound_check(prefix, c) -> IdentityReport:
     margin = log_capital_bound_margin(prefix, c)
-    ok = margin >= -slack
+    ok = margin >= -LOG_BOUND_SLACK
     return IdentityReport("log-lower-bound", 1, 0.0 if ok else -margin,
                           None if ok else moves_of(prefix))
 
@@ -167,14 +174,13 @@ def additive_closed_form_check(prefix, eps) -> IdentityReport:
 # exhaustive engine-vs-oracle sweeps
 # ---------------------------------------------------------------------------
 
-def _cap(depth: int, cap: int | None) -> None:
-    if cap is None:
-        text = os.environ.get("FAIRCOIN_EXHAUSTIVE_CAP", "22")
-        try:
-            cap = int(text)
-        except ValueError:
-            raise VerifyError(
-                f"FAIRCOIN_EXHAUSTIVE_CAP must be an integer, got {text!r}") from None
+def _cap(depth: int) -> None:
+    text = os.environ.get("FAIRCOIN_EXHAUSTIVE_CAP", "22")
+    try:
+        cap = int(text)
+    except ValueError:
+        raise VerifyError(
+            f"FAIRCOIN_EXHAUSTIVE_CAP must be an integer, got {text!r}") from None
     if depth > cap:
         raise VerifyError(f"exhaustive depth {depth} exceeds cap {cap}")
     if depth < 1:
@@ -219,9 +225,9 @@ def _mismatch(got, want):
     return None if got == want else abs(got - want)
 
 
-def exhaustive_product_check(c, depth: int, cap: int | None = None) -> IdentityReport:
+def exhaustive_product_check(c, depth: int) -> IdentityReport:
     """Engine capital == direct product, every factor > 0, all paths."""
-    _cap(depth, cap)
+    _cap(depth)
     c = Fraction(c)
 
     def step(node, n):
@@ -237,9 +243,11 @@ def exhaustive_product_check(c, depth: int, cap: int | None = None) -> IdentityR
                  (MultiplicativeContrarian(c), Fraction(1), 0), step)
 
 
-def exhaustive_summation_check(depth: int, cap: int | None = None) -> IdentityReport:
+def exhaustive_summation_check(depth: int) -> IdentityReport:
     """The partial-summation identity, checked at every node of depth >= 2."""
-    _cap(depth, cap)
+    _cap(depth)
+    if depth < 2:
+        raise VerifyError("the summation identity needs depth >= 2")
 
     def step(node, n):
         s, lhs, a, b = node
@@ -257,11 +265,12 @@ def exhaustive_summation_check(depth: int, cap: int | None = None) -> IdentityRe
                  (0, Fraction(0), Fraction(0), Fraction(0)), step)
 
 
-def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK,
-                               cap: int | None = None) -> IdentityReport:
+def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK) -> IdentityReport:
     """Float check of the log capital lower bound at every node of depth >= 2."""
-    _cap(depth, cap)
-    cf = float(Fraction(c))
+    _cap(depth)
+    if depth < 2:
+        raise VerifyError("the log bound needs depth >= 2")
+    cf = _log_bound_c(c)
 
     def step(node, n):
         s, log_k, a, b = node
@@ -279,9 +288,9 @@ def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK,
     return _walk("log-lower-bound", depth, (0, 0.0, 0.0, 0.0), step)
 
 
-def exhaustive_additive_check(eps, depth: int, cap: int | None = None) -> IdentityReport:
+def exhaustive_additive_check(eps, depth: int) -> IdentityReport:
     """Engine capital of the unstopped additive bettor == (eps/2)(n - s^2)."""
-    _cap(depth, cap)
+    _cap(depth)
     eps = Fraction(eps)
 
     def step(node, n):
@@ -292,9 +301,9 @@ def exhaustive_additive_check(eps, depth: int, cap: int | None = None) -> Identi
     return _walk("additive-closed-form", depth, (AdditiveContrarian(eps), 0), step)
 
 
-def exhaustive_stopped_additive_check(eps, depth: int, cap: int | None = None) -> IdentityReport:
+def exhaustive_stopped_additive_check(eps, depth: int) -> IdentityReport:
     """Stop-rule bettor: wealth >= 0 always; Lemma-form capital while unstopped."""
-    _cap(depth, cap)
+    _cap(depth)
     eps = Fraction(eps)
     root = StoppedAdditive(eps)
     m = int(2 / eps)  # an integer, or the constructor above had refused eps
@@ -312,10 +321,9 @@ def exhaustive_stopped_additive_check(eps, depth: int, cap: int | None = None) -
     return _walk("stopped-additive-collateral", depth, (root, 0, False), step)
 
 
-def exhaustive_one_sided_check(N: int, direction: str, depth: int,
-                               cap: int | None = None) -> IdentityReport:
+def exhaustive_one_sided_check(N: int, direction: str, depth: int) -> IdentityReport:
     """One-sided capital: +-s_n/N before the hit, -1 at and after; wealth >= 0."""
-    _cap(depth, cap)
+    _cap(depth)
     sign = 1 if direction == "down" else -1
 
     def step(node, n):
@@ -330,18 +338,15 @@ def exhaustive_one_sided_check(N: int, direction: str, depth: int,
                  (OneSided(N, direction), 0, False), step)
 
 
+# check name -> (walk, the parameters it takes with their defaults)
 CHECKS = {
-    "product-capital": lambda depth, **kw: exhaustive_product_check(
-        kw.get("c", Fraction(1, 2)), depth),
-    "summation-identity": lambda depth, **kw: exhaustive_summation_check(depth),
-    "log-lower-bound": lambda depth, **kw: exhaustive_log_bound_check(
-        kw.get("c", Fraction(1, 2)), depth, kw.get("slack", LOG_BOUND_SLACK)),
-    "additive-closed-form": lambda depth, **kw: exhaustive_additive_check(
-        kw.get("eps", Fraction(2)), depth),
-    "stopped-additive-collateral": lambda depth, **kw: exhaustive_stopped_additive_check(
-        kw.get("eps", Fraction(1, 2)), depth),
-    "one-sided-capital": lambda depth, **kw: exhaustive_one_sided_check(
-        int(kw.get("N", 2)), kw.get("direction", "down"), depth),
+    "product-capital": (exhaustive_product_check, {"c": Fraction(1, 2)}),
+    "summation-identity": (exhaustive_summation_check, {}),
+    "log-lower-bound": (exhaustive_log_bound_check,
+                        {"c": Fraction(1, 2), "slack": LOG_BOUND_SLACK}),
+    "additive-closed-form": (exhaustive_additive_check, {"eps": Fraction(2)}),
+    "stopped-additive-collateral": (exhaustive_stopped_additive_check, {"eps": Fraction(1, 2)}),
+    "one-sided-capital": (exhaustive_one_sided_check, {"N": 2, "direction": "down"}),
 }
 
 
@@ -349,7 +354,11 @@ def exhaustive(depth: int, check: str, **params) -> IdentityReport:
     """Run the named identity check over all 2**depth move sequences."""
     if check not in CHECKS:
         raise VerifyError(f"unknown check {check!r}; known: {sorted(CHECKS)}")
-    return CHECKS[check](depth, **params)
+    walk, defaults = CHECKS[check]
+    if unknown := [name for name in params if name not in defaults]:
+        raise VerifyError(f"check {check!r} does not take {', '.join(unknown)}; "
+                          f"it takes: {', '.join(defaults) or 'none'}")
+    return walk(depth=depth, **{**defaults, **params})
 
 
 # ---------------------------------------------------------------------------

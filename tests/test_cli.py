@@ -150,6 +150,9 @@ def test_excursions_from_path(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["excursions"] == [{"w": 2, "v": 3}]
+    # --horizon plays a prefix of the path
+    code, out = run_cli(capsys, "excursions", "--path=-1+1-1", "--horizon", "2")
+    assert json.loads(out) == {"rounds": 2, "excursions": [{"w": 2, "v": None}]}
 
 
 def test_excursions_from_reality(capsys):
@@ -197,6 +200,20 @@ def _simulate(strategy="zero", reality="alt"):
     ["price", "--l", "-1", "--horizon", "3", "--series"],
     ["price", "--l", "-1", "--horizon", "3"],
     _simulate() + ["--initial", "-7"],
+    # a parameter the check does not take is refused, not dropped
+    ["verify", "--check", "summation-identity", "--depth", "4",
+     "--c", "1/3", "--eps", "5", "--N", "9"],
+    ["verify", "--check", "product-capital", "--depth", "3", "--direction", "up"],
+    # the log bound is claimed only for 0 < c <= 1/2
+    *(["verify", "--check", "log-lower-bound", "--depth", "3", "--c", c]
+      for c in ("1", "-1", "0", "3/4")),
+    # both identities are checked only from n = 2
+    ["verify", "--check", "summation-identity", "--depth", "1"],
+    ["verify", "--check", "log-lower-bound", "--depth", "1"],
+    ["excursions", "--reality", "alt", "--horizon", "-3"],
+    ["excursions", "--path", "+-", "--horizon", "5"],
+    ["excursions", "--path", "+-", "--reality", "alt"],
+    ["excursions", "--reality", "alt"],
 ])
 def test_domain_error_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2

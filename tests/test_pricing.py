@@ -84,17 +84,6 @@ def test_eta_values_are_dyadic(l, horizon):
                 assert v.denominator & (v.denominator - 1) == 0  # power of two
 
 
-@given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=10))
-def test_eta_mirror_symmetry(l, horizon):
-    # paying on the negative side at s equals paying on the positive at -s
-    neg = eta_table(l, horizon, "zero", "negative")
-    pos = eta_table(l, horizon, "zero", "positive")
-    for n in range(horizon + 1):
-        for s in range(-n, n + 1):
-            if neg.is_live(n, s):
-                assert neg.value(n, s) == pos.value(n, -s)
-
-
 def test_eta_half_tail_root_exactly_half():
     for l in (0, 2, 4, 9):
         for h in (max(1, l // 2), 6, 11):
@@ -144,14 +133,14 @@ def _child_value_by_value_or_payoff(table, n, s):
     if table.is_live(n, s):
         return table.value(n, s)
     assert boundary_exceeds(n, s, table.l)
-    return Fraction(int((s < 0) == (table.payoff_side == "negative")))
+    return Fraction(int(s < 0))
 
 
 @given(st.integers(min_value=0, max_value=13), st.integers(min_value=1, max_value=64),
-       st.sampled_from(["zero", "one", "half"]), st.sampled_from(["negative", "positive"]))
+       st.sampled_from(["zero", "one", "half"]))
 @settings(deadline=None, max_examples=60)
-def test_delta_hedge_bet_is_half_the_child_value_spread(l, horizon, tail, side):
-    table = eta_table(l, horizon, tail, side)
+def test_delta_hedge_bet_is_half_the_child_value_spread(l, horizon, tail):
+    table = eta_table(l, horizon, tail)
     for n in range(horizon):
         for s in range(-n, n + 1, 2):
             if not table.is_live(n, s):
@@ -309,8 +298,8 @@ def test_replication_catches_a_bad_table(monkeypatch, tail, n, s, match):
     l, h = 9, 10
     real = pricing.eta_table
 
-    def bad(l_, horizon, tail_value="zero", payoff_side="negative"):
-        table = real(l_, horizon, tail_value, payoff_side)
+    def bad(l_, horizon, tail_value="zero"):
+        table = real(l_, horizon, tail_value)
         if tail_value == tail:  # the numerator at the live state (n, s) one too big
             assert table.is_live(n, s)
             table._levels[n][(s + table._widths[n]) // 2] += 1

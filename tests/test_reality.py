@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faircoin import reality
 from faircoin.game import Situation, run_game
 from faircoin.reality import (
     Alternating,
@@ -31,32 +32,32 @@ moves_lists = st.lists(st.sampled_from([-1, 1]), max_size=20)
 
 def test_fixed_path_replays_and_exhausts():
     src = FixedPath([1, -1])
-    assert src.next_move([], Fraction(0)) == 1
-    assert src.next_move([1], Fraction(0)) == -1
+    assert src.next_move(Fraction(0)) == 1
+    assert src.next_move(Fraction(0)) == -1
     with pytest.raises(RealityError):
-        src.next_move([1, -1], Fraction(0))
+        src.next_move(Fraction(0))
 
 
 def test_alternating():
     src = Alternating()
-    assert [src.next_move([], 0) for _ in range(4)] == [1, -1, 1, -1]
+    assert [src.next_move(0) for _ in range(4)] == [1, -1, 1, -1]
 
 
 def test_iid_reproducible():
     src = IIDCoin(42)
-    a = [src.next_move([], 0) for _ in range(50)]
+    a = [src.next_move(0) for _ in range(50)]
     b = IIDCoin(42)
-    assert a == [b.next_move([], 0) for _ in range(50)]
+    assert a == [b.next_move(0) for _ in range(50)]
     assert a == iid_path(42, 50)
     assert iid_path(42, 50) != iid_path(43, 50)
 
 
 def test_greedy_sign_rule():
     g = Greedy()
-    assert g.next_move([], Fraction(1, 4)) == -1
-    assert g.next_move([], Fraction(-2)) == 1
-    assert g.next_move([], Fraction(0)) == -1
-    assert Greedy(tie=1).next_move([], Fraction(0)) == 1
+    assert g.next_move(Fraction(1, 4)) == -1
+    assert g.next_move(Fraction(-2)) == 1
+    assert g.next_move(Fraction(0)) == -1
+    assert Greedy(tie=1).next_move(Fraction(0)) == 1
     with pytest.raises(RealityError):
         Greedy(tie=0)
 
@@ -94,19 +95,37 @@ def test_minimax_source_plays_worst_path():
     trace = run_game(OneSided(1, "down"), Minimax(lambda: OneSided(1, "down"), 4), 4)
     assert trace.final_capital == -1
     assert 1 + trace.final_capital == 0
-    # each move opens a worst path from the current state, so the play-out
-    # ends at the worst-case value
+    # the play-out is the path of one search, so it ends at the worst-case value
     for spec in ("stopadd:eps=2/4", "oneside:N=2,dir=up", "mulc:c=1/2", "addc:eps=1"):
         def make():
             return parse_strategy(spec)
         trace = run_game(make(), Minimax(make, 7), 7)
-        assert 1 + trace.final_capital == worst_case(make(), 7)[0], spec
+        value, path = worst_case(make(), 7)
+        assert 1 + trace.final_capital == value, spec
+        assert trace.moves == path, spec
+
+
+def test_minimax_searches_once_per_game(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return worst_case(*args, **kwargs)
+
+    def make():
+        return StoppedAdditive(Fraction(1, 2))
+
+    monkeypatch.setattr(reality, "worst_case", counting)
+    for horizon in (1, 6):
+        calls.clear()
+        run_game(make(), Minimax(make, horizon), horizon)
+        assert calls == [horizon]  # one search, over the whole game
 
 
 def test_minimax_desync_detection():
     src = Minimax(lambda: OneSided(1, "down"), 3)
     with pytest.raises(RealityError):
-        src.next_move([], Fraction(7))  # the real one-sided stake is 1
+        src.next_move(Fraction(7))  # the real one-sided stake is 1
 
 
 def test_minimax_refuses_moves_past_its_horizon():

@@ -124,6 +124,21 @@ def test_exhaustive_registry_and_caps():
         exhaustive(40, "summation-identity")
     with pytest.raises(VerifyError):
         exhaustive(0, "summation-identity")
+    for check in ("summation-identity", "log-lower-bound"):
+        with pytest.raises(VerifyError, match="needs depth >= 2"):
+            exhaustive(1, check)
+    with pytest.raises(VerifyError, match="does not take c, eps"):
+        exhaustive(4, "summation-identity", c=Fraction(1, 3), eps=Fraction(5))
+    with pytest.raises(VerifyError, match="does not take N"):
+        exhaustive(4, "product-capital", N=2)
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(-1), Fraction(0), Fraction(3, 4)])
+def test_log_bound_refuses_c_outside_its_claim(c):
+    with pytest.raises(VerifyError, match="only for 0 < c <= 1/2"):
+        log_capital_bound_margin([1, -1, 1], c)
+    with pytest.raises(VerifyError, match="only for 0 < c <= 1/2"):
+        exhaustive_log_bound_check(c, 3)
 
 
 def test_bad_env_caps_fail_at_use_not_at_import(monkeypatch):
