@@ -182,7 +182,7 @@ class OneSided(Strategy):
                 self.stopped = True
 
     def state_key(self):
-        return ("oneside", self.N, self.direction, self.s, self.stopped)
+        return ("oneside", self.N, self.direction, self.s, self.stopped, self.gain)
 
 
 class PathBettor(Strategy):

@@ -24,6 +24,7 @@ from .strategies import (
     MultiplicativeContrarian,
     OneSided,
     StoppedAdditive,
+    Strategy,
 )
 
 LOG_BOUND_SLACK = 1e-9
@@ -101,10 +102,10 @@ def summation_identity_sides(prefix) -> tuple[Fraction, Fraction]:
 
 
 def _log_bound_c(c) -> float:
-    c = Fraction(c)
-    if not 0 < c <= Fraction(1, 2):
+    cf = Fraction(c)
+    if not 0 < cf <= Fraction(1, 2):
         raise VerifyError(f"the log bound is claimed only for 0 < c <= 1/2, got {c}")
-    return float(c)
+    return float(cf)
 
 
 def log_capital_bound_margin(prefix, c) -> float:
@@ -190,6 +191,19 @@ def _cap(depth: int) -> None:
 _MOVES = (-1, 1)
 
 
+def _snapshot(v):
+    """A hashable copy of v's complete state: a strategy as its type and
+    every attribute but the announced stake, each name followed by its
+    value in one flat tuple (a pair per attribute made the memo 1.7 times
+    larger), lists and tuples element by element, anything else as itself."""
+    if isinstance(v, Strategy):
+        return (type(v), *[part for name, x in sorted(vars(v).items()) if name != "_pending"
+                           for part in (name, _snapshot(x))])
+    if isinstance(v, (list, tuple)):
+        return tuple(map(_snapshot, v))
+    return v
+
+
 def _walk(identity: str, depth: int, root, step) -> IdentityReport:
     """Check every move sequence up to ``depth``, depth first.
 
@@ -198,20 +212,41 @@ def _walk(identity: str, depth: int, root, step) -> IdentityReport:
     the child checks out, else the discrepancy to report.  The walk stops
     at the first failure; ``paths_checked`` counts the full-length paths
     reached, a failing leaf included.
+
+    A node that carries an engine has a future that is a function of its
+    complete state, so equal states at equal rounds are checked once: a
+    child whose snapshot matches a subtree already checked is credited
+    with that subtree's leaves and not walked again.  The walk ends at the
+    first failure, so a state it meets again belongs to a subtree that
+    passed, and the order, the counterexample and the counts are those of
+    the plain tree walk.  Nodes of the oracle-only walks carry
+    path-dependent sums, never merge, and are not keyed.
     """
     leaves = 0
     path = [0] * depth
+    seen = set() if any(isinstance(v, Strategy) for v in root) else None
 
     def rec(node, n):
         nonlocal leaves
-        leaf = n + 1 == depth
+        if n + 1 == depth:  # the children are leaves: count and check them
+            for x, (failure, _) in zip(_MOVES, step(node, n)):
+                leaves += 1
+                if failure is not None:
+                    path[n] = x
+                    return failure
+            return None
         for x, (failure, child) in zip(_MOVES, step(node, n)):
             path[n] = x
-            leaves += leaf
             if failure is not None:
                 del path[n + 1:]
                 return failure
-            if not leaf and (failure := rec(child, n + 1)) is not None:
+            if seen is not None:
+                key = (n, _snapshot(child))
+                if key in seen:
+                    leaves += 1 << (depth - n - 1)
+                    continue
+                seen.add(key)
+            if (failure := rec(child, n + 1)) is not None:
                 return failure
         return None
 
@@ -384,6 +419,7 @@ def additive_capital_curve(moves: np.ndarray, eps: float) -> np.ndarray:
 
 def log_bound_margin_curve(moves: np.ndarray, c: float) -> np.ndarray:
     """Margins log K_n - bound for n = 2..len(moves), vectorized."""
+    c = _log_bound_c(c)
     x = np.asarray(moves, dtype=np.float64)
     n = np.arange(1, len(x) + 1, dtype=np.float64)
     s = np.cumsum(x)

@@ -85,6 +85,25 @@ def test_worst_case_objectives_and_caps():
         worst_case(OneSided(1), -1)
 
 
+@pytest.mark.parametrize("objective", ["final", "running_min"])
+@pytest.mark.parametrize("make", [
+    lambda: OneSided(3, "up", exact=False),
+    lambda: OneSided(2, "down", exact=False),
+    lambda: StoppedAdditive(Fraction(1, 2), exact=False),
+    lambda: MultiplicativeContrarian(Fraction(1, 4), exact=False),
+    lambda: OneSided(3, "up"),
+])
+def test_worst_case_path_agrees_with_a_fresh_search_from_every_prefix(make, objective):
+    # a memo hit that reuses a value from a different state (float gains
+    # reached by different move orders round differently) breaks this
+    rounds = 9
+    _, path = worst_case(make(), rounds, objective=objective)
+    node = make()
+    for k in range(rounds):
+        assert worst_case(node, rounds - k, objective=objective)[1] == path[k:], k
+        node = node.children()[path[k] == 1]
+
+
 def test_worst_case_does_not_mutate_strategy():
     strat = OneSided(2, "down")
     worst_case(strat, 6)

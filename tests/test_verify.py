@@ -1,5 +1,6 @@
 """Oracles and exhaustive identity sweeps."""
 
+import json
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import faircoin
 from faircoin import verify
-from faircoin.strategies import AdditiveContrarian, MultiplicativeContrarian
+from faircoin.strategies import AdditiveContrarian, MultiplicativeContrarian, Strategy
 from faircoin.verify import (
     CHECKS,
     VerifyError,
@@ -133,12 +134,15 @@ def test_exhaustive_registry_and_caps():
         exhaustive(4, "product-capital", N=2)
 
 
-@pytest.mark.parametrize("c", [Fraction(1), Fraction(-1), Fraction(0), Fraction(3, 4)])
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(-1), Fraction(0), Fraction(3, 4),
+                               Fraction(3)])
 def test_log_bound_refuses_c_outside_its_claim(c):
     with pytest.raises(VerifyError, match="only for 0 < c <= 1/2"):
         log_capital_bound_margin([1, -1, 1], c)
     with pytest.raises(VerifyError, match="only for 0 < c <= 1/2"):
         exhaustive_log_bound_check(c, 3)
+    with pytest.raises(VerifyError, match="only for 0 < c <= 1/2"):
+        log_bound_margin_curve(np.array([1, 1, 1]), float(c))
 
 
 def test_bad_env_caps_fail_at_use_not_at_import(monkeypatch):
@@ -179,6 +183,136 @@ def test_failing_walk_counts_only_the_paths_it_checked(monkeypatch, broken, fail
         finished = sum(1 << (depth - i) for i, x in enumerate(path, start=1) if x == 1)
         assert report.paths_checked == finished + (fails_at == depth), engine
         assert report.paths_checked < 1 << depth
+
+
+# -- the memoised walk against a plain tree walk -----------------------------
+
+def tree_walk(identity, depth, root, step):
+    """The oracle: every node of the 2**depth tree, no merging."""
+    leaves = 0
+    path = [0] * depth
+
+    def rec(node, n):
+        nonlocal leaves
+        leaf = n + 1 == depth
+        for x, (failure, child) in zip((-1, 1), step(node, n)):
+            path[n] = x
+            leaves += leaf
+            if failure is not None:
+                del path[n + 1:]
+                return failure
+            if not leaf and (failure := rec(child, n + 1)) is not None:
+                return failure
+        return None
+
+    failure = rec(root, 0)
+    if failure is None:
+        return verify.IdentityReport(identity, leaves, Fraction(0))
+    return verify.IdentityReport(identity, leaves, failure, tuple(path))
+
+
+def _both_walks(monkeypatch, run):
+    """The JSON of ``run()`` under the memoised walk and under tree_walk."""
+    memo = json.dumps(run().to_json_dict())
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_walk", tree_walk)
+        plain = json.dumps(run().to_json_dict())
+    return memo, plain
+
+
+WALK_CASES = [
+    ("product-capital", {"c": Fraction(1, 2)}),
+    ("product-capital", {"c": Fraction(1, 8)}),
+    ("summation-identity", {}),
+    ("log-lower-bound", {"c": Fraction(1, 4)}),
+    ("log-lower-bound", {"c": Fraction(1, 2), "slack": -0.5}),  # fails
+    ("additive-closed-form", {"eps": Fraction(2)}),
+    ("additive-closed-form", {"eps": Fraction(2, 7)}),
+    ("stopped-additive-collateral", {"eps": Fraction(1, 2)}),
+    ("stopped-additive-collateral", {"eps": Fraction(2)}),
+    ("one-sided-capital", {"N": 3, "direction": "down"}),
+    ("one-sided-capital", {"N": 1, "direction": "up"}),
+]
+
+
+@pytest.mark.parametrize("check, params", WALK_CASES)
+@pytest.mark.parametrize("depth", [2, 7, 12])
+def test_memoised_walk_reports_what_the_tree_walk_reports(monkeypatch, check, params, depth):
+    memo, plain = _both_walks(monkeypatch, lambda: exhaustive(depth, check, **params))
+    assert memo == plain
+
+
+@pytest.mark.parametrize("engine, check", ENGINE_CHECKS)
+@pytest.mark.parametrize("broken", [(3, 1), (7, -1), (10, 0)])
+def test_memoised_walk_reports_a_broken_engine_as_the_tree_walk_does(
+        monkeypatch, engine, check, broken):
+    class OffByOne(getattr(verify, engine)):
+        def _stake(self):
+            stake = super()._stake()
+            return stake + 1 if (self.n, self.s) == broken else stake
+
+    monkeypatch.setattr(verify, engine, OffByOne)
+    memo, plain = _both_walks(monkeypatch, lambda: check(12))
+    assert memo == plain and '"passed": false' in memo
+
+
+# none of these bettors stops within depth 8, so for the last three every
+# path to (n, s) ends in the same state_key
+UNSTOPPED_CHECKS = [
+    ("MultiplicativeContrarian", lambda depth: exhaustive_product_check(Fraction(1, 2), depth)),
+    ("AdditiveContrarian", lambda depth: exhaustive_additive_check(Fraction(2), depth)),
+    ("StoppedAdditive",
+     lambda depth: exhaustive_stopped_additive_check(Fraction(1, 32), depth)),
+    ("OneSided", lambda depth: exhaustive_one_sided_check(9, "down", depth)),
+]
+
+
+@pytest.mark.parametrize("engine, check", UNSTOPPED_CHECKS)
+def test_path_dependence_hidden_in_an_attribute_is_caught(monkeypatch, engine, check):
+    class Turns(getattr(verify, engine)):
+        """Nudges its stake by the number of +1 -> -1 turns so far, an
+        attribute no state_key reads."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._last = 0
+            self._turns = 0
+
+        def _stake(self):
+            return super()._stake() + Fraction(self._turns, 64)
+
+        def _after(self, x):
+            super()._after(x)
+            self._turns += self._last == 1 and x == -1
+            self._last = x
+
+    monkeypatch.setattr(verify, engine, Turns)
+    memo, plain = _both_walks(monkeypatch, lambda: check(8))
+    assert memo == plain and '"passed": false' in memo
+    if engine == "MultiplicativeContrarian":
+        return  # its gain is path-dependent, so turning paths do not merge
+    # a memo keyed on the hand-written state_key reaches each (n, s) first by
+    # a path with no +1 -> -1 turn, merges every turning path into it and
+    # misses the bug: the key must be the complete state
+    monkeypatch.setattr(verify, "_snapshot", lambda node: tuple(
+        v.state_key() if isinstance(v, Strategy) else v for v in node))
+    assert check(8).passed
+
+
+def test_equal_states_are_walked_once(monkeypatch):
+    calls = 0
+    children = Strategy.children
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return children(self)
+
+    monkeypatch.setattr(Strategy, "children", counting)
+    report = exhaustive_additive_check(Fraction(2, 7), 16)
+    assert report.passed and report.paths_checked == 1 << 16
+    # one call per (n, s) with n < 16, not one per inner node (65,535)
+    assert calls == sum(n + 1 for n in range(16)) == 136
 
 
 def test_failing_oracle_walk_stops_at_its_first_node():
