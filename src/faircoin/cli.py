@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import pricing, verify
-from .game import GameError, Situation, fmt_number, run_game, spec_value
+from .game import GameError, Situation, fmt_dyadic, run_game, spec_value
 from .pricing import PricingError
 from .reality import FixedPath, RealityError, parse_reality
 from .stopping import event_report, excursions
@@ -111,17 +111,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _bracket_dict(b: pricing.PriceBracket) -> dict:
-    return {"l": b.l, "horizon": b.horizon, "lower": fmt_number(b.lower),
-            "upper": fmt_number(b.upper), "live_mass": fmt_number(b.live_mass)}
-
-
 def cmd_price(args) -> int:
     if args.series:
         for b in pricing.bracket_series(args.l, args.horizon):
-            print(json.dumps(_bracket_dict(b)))
+            print(json.dumps(b.to_json_dict()))
     else:
-        print(json.dumps(_bracket_dict(pricing.upper_price_bracket(args.l, args.horizon))))
+        print(json.dumps(pricing.upper_price_bracket(args.l, args.horizon).to_json_dict()))
     return 0
 
 
@@ -132,7 +127,7 @@ def cmd_census(args) -> int:
         "k": census.k,
         "a": list(census.a),
         "b_k": census.b_k,
-        "sum_ai_2^-i": fmt_number(census.budget_sum),
+        "sum_ai_2^-i": fmt_dyadic(census.b_k, census.k),
     }))
     return 0
 

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import IO, Iterable, Iterator, Sequence
 
 
@@ -235,18 +235,33 @@ class GameTrace:
 
 
 def fmt_number(v) -> str:
-    """Rationals serialize as "num/den"; floats use repr round-tripping.
-
-    str(int) refuses more digits than sys.get_int_max_str_digits(); such
-    numbers go through Decimal, which converts integers exactly and without
-    that limit.
-    """
+    """Rationals serialize as "num/den"; floats use repr round-tripping."""
     if isinstance(v, (Fraction, int)):
-        try:
-            return f"{v.numerator}/{v.denominator}"
-        except ValueError:
-            return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
+        return _fmt_ratio(v.numerator, v.denominator)
     return repr(float(v))
+
+
+def fmt_dyadic(num: int, bits: int) -> str:
+    """fmt_number(Fraction(num, 2**bits)) without building the Fraction:
+    the common factors of two are shifted out, so no gcd is taken."""
+    z = min((num & -num).bit_length() - 1, bits) if num else bits
+    return _fmt_ratio(num >> z, _pow2_text(bits - z))
+
+
+def _fmt_ratio(num: int, den: int | str) -> str:
+    """The text num/den; den may come as its decimal digits.  str(int)
+    refuses more digits than sys.get_int_max_str_digits(); such numbers go
+    through Decimal, which converts both exactly and without that limit."""
+    try:
+        return f"{num}/{den}"
+    except ValueError:
+        return f"{Decimal(num)}/{Decimal(den)}"
+
+
+@lru_cache(maxsize=8)  # a price series repeats a few neighbouring denominators
+def _pow2_text(k: int) -> str:
+    """The decimal digits of 2**k, by way of Decimal, which has no digit limit."""
+    return str(Decimal(1 << k))
 
 
 _INTEGER_RATIO = re.compile(r"[-+]?\d+(/\d+)?")

@@ -16,15 +16,20 @@ per-level power-of-two scale, so nothing is ever rounded.
 Infinite-horizon upper prices are represented as brackets: the backward
 induction is run once with tail value 0 and once with tail value 1 at the
 truncation horizon; the true price lies between the two roots, and the gap
-is exactly the still-live probability mass at the horizon.
+is exactly the still-live probability mass at the horizon.  A bracket is
+stored the same way, as two integer numerators over one power-of-two
+scale: it builds its Fractions only when they are read, and prints
+straight from the integers, so a long series takes no gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
+from .game import fmt_dyadic
 from .stopping import boundary_exceeds
 
 TAIL_VALUES = ("zero", "one", "half")
@@ -71,7 +76,7 @@ def _absorption_sweep(l: int, horizon: int):
         counts = [a + b for a, b in zip(counts, counts[1:])]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EtaTable:
     """Backward-induction value table for one ticket and truncation horizon.
 
@@ -161,26 +166,50 @@ def delta_hedge_bet(table: EtaTable, n: int, s: int) -> Fraction:
     return Fraction(up - down, 2 << table._scale_bits(n + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PriceBracket:
+    """Bracket [lower, upper] around the ticket's upper price at the root,
+    as the numerators lower_num and upper_num over 2**(horizon + 1), the
+    scale of a value table's root."""
+
     l: int
     horizon: int
-    lower: Fraction
-    upper: Fraction
+    lower_num: int
+    upper_num: int
 
-    @property
+    # each Fraction is built on first read and kept: a gcd per value, once
+    @cached_property
+    def lower(self) -> Fraction:
+        return Fraction(self.lower_num, 2 << self.horizon)
+
+    @cached_property
+    def upper(self) -> Fraction:
+        return Fraction(self.upper_num, 2 << self.horizon)
+
+    @cached_property
     def live_mass(self) -> Fraction:
-        return self.upper - self.lower
+        return Fraction(self.upper_num - self.lower_num, 2 << self.horizon)
+
+    def __repr__(self) -> str:
+        return (f"PriceBracket(l={self.l}, horizon={self.horizon}, "
+                f"lower={self.lower!r}, upper={self.upper!r})")
 
     def __contains__(self, price) -> bool:
         return self.lower <= price <= self.upper
 
+    def to_json_dict(self) -> dict:
+        bits = self.horizon + 1
+        return {"l": self.l, "horizon": self.horizon,
+                "lower": fmt_dyadic(self.lower_num, bits),
+                "upper": fmt_dyadic(self.upper_num, bits),
+                "live_mass": fmt_dyadic(self.upper_num - self.lower_num, bits)}
+
 
 def upper_price_bracket(l: int, horizon: int) -> PriceBracket:
     """Finite-horizon bracket around the ticket's upper price at the root."""
-    lower = eta_table(l, horizon, "zero").root_value
-    upper = eta_table(l, horizon, "one").root_value
-    return PriceBracket(l=l, horizon=horizon, lower=lower, upper=upper)
+    lower = eta_table(l, horizon, "zero")._levels[0][0]
+    upper = eta_table(l, horizon, "one")._levels[0][0]
+    return PriceBracket(l, horizon, lower, upper)
 
 
 def bracket_series(l: int, horizon: int) -> list[PriceBracket]:
@@ -193,12 +222,12 @@ def bracket_series(l: int, horizon: int) -> list[PriceBracket]:
     if horizon < 1:
         raise PricingError("horizon must be >= 1")
     out: list[PriceBracket] = []
-    neg = pos = 0  # absorbed mass numerators at scale 2**n
+    # the negative mass and 1 minus the positive mass, at scale 2**(n + 1)
+    neg, upper = 0, 2
     for n, (new_neg, new_pos) in enumerate(_absorption_sweep(l, horizon), start=1):
-        neg = 2 * neg + new_neg
-        pos = 2 * pos + new_pos
-        out.append(PriceBracket(l=l, horizon=n, lower=Fraction(neg, 1 << n),
-                                upper=Fraction((1 << n) - pos, 1 << n)))
+        neg = 2 * (neg + new_neg)
+        upper = 2 * (upper - new_pos)
+        out.append(PriceBracket(l, n, neg, upper))
     return out
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -107,6 +108,24 @@ def test_census(capsys):
     assert d["a"] == [0, 1, 0, 2]
     assert d["b_k"] == 6
     assert d["sum_ai_2^-i"] == "3/8"
+
+
+# SHA-256 of the concatenated stdout of these calls, recorded when every
+# bracket still printed through Fraction and fmt_number
+DYADIC_OUTPUT_PIN = ("243468e8aca0a55a0b33dacf95550c34cf3b4a22a7510f460621f359784be3ad",
+                     [["price", "--l", "4", "--horizon", "512", "--series"],
+                      ["price", "--l", "9", "--horizon", "2048"],
+                      ["census", "--l", "4", "--k", "26"]])
+
+
+def test_price_and_census_output_pinned(capsys):
+    digest, calls = DYADIC_OUTPUT_PIN
+    h = hashlib.sha256()
+    for argv in calls:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        h.update(out.encode())
+    assert h.hexdigest() == digest
 
 
 def test_verify_pass_and_exit_code(capsys):

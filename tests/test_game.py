@@ -12,6 +12,7 @@ from faircoin.game import (
     GameTrace,
     Situation,
     check_collateral,
+    fmt_dyadic,
     fmt_number,
     parse_number,
     run_game,
@@ -166,6 +167,28 @@ def test_jsonl_round_trip():
     buf.seek(0)
     back = GameTrace.read_jsonl(buf)
     assert back.rounds == trace.rounds
+
+
+@st.composite
+def dyadics(draw):
+    bits = draw(st.integers(min_value=0, max_value=64))
+    bound = 1 << (bits + 1)
+    return draw(st.integers(min_value=-bound, max_value=bound)), bits
+
+
+@given(dyadics())
+def test_fmt_dyadic_is_fmt_number_of_the_fraction(dyadic):
+    num, bits = dyadic
+    assert fmt_dyadic(num, bits) == fmt_number(Fraction(num, 1 << bits))
+
+
+@pytest.mark.parametrize("num", [3 ** 9100, 2 * 3 ** 9000, 0, 1 << 14400],
+                         ids=["odd", "even", "zero", "one"])
+def test_fmt_dyadic_past_int_digit_limit(num):
+    # 2**14400 and 3**9100 have over 4300 digits: these take the Decimal route,
+    # or reduce to 0/1 and 1/1 at that scale
+    assert fmt_dyadic(num, 14400) == fmt_number(Fraction(num, 1 << 14400))
+    assert parse_number(fmt_dyadic(num, 14400)) == Fraction(num, 1 << 14400)
 
 
 def test_numbers_past_int_digit_limit_round_trip():

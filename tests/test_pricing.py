@@ -157,6 +157,7 @@ def test_bracket_examples():
     b = upper_price_bracket(4, 2)
     assert (b.lower, b.upper) == (Fraction(1, 4), Fraction(3, 4))
     assert b.live_mass == Fraction(1, 2)
+    assert repr(b) == "PriceBracket(l=4, horizon=2, lower=Fraction(1, 4), upper=Fraction(3, 4))"
     b = upper_price_bracket(4, 4)
     assert (b.lower, b.upper) == (Fraction(3, 8), Fraction(5, 8))
     for h in (1, 3, 8):
@@ -171,6 +172,25 @@ def test_bracket_series_matches_eta_roots():
         for b in series:
             direct = upper_price_bracket(l, b.horizon)
             assert (b.lower, b.upper) == (direct.lower, direct.upper)
+            assert b == direct and hash(b) == hash(direct)
+
+
+def test_bracket_series_matches_fractions_from_the_sweep():
+    for l in range(10):
+        series = bracket_series(l, 64)
+        lower, upper = Fraction(0), Fraction(1)
+        for h, (new_neg, new_pos) in enumerate(pricing._absorption_sweep(l, 64), start=1):
+            lower += Fraction(new_neg, 1 << h)
+            upper -= Fraction(new_pos, 1 << h)
+            b = series[h - 1]
+            assert (b.l, b.horizon, b.lower, b.upper, b.live_mass) == (
+                l, h, lower, upper, upper - lower)
+            assert bracket_series(l, h) == series[:h]
+
+
+def test_bracket_fractions_are_built_once():
+    for b in (bracket_series(4, 9)[-1], upper_price_bracket(4, 9)):
+        assert b.lower is b.lower and b.upper is b.upper and b.live_mass is b.live_mass
 
 
 @given(st.integers(min_value=0, max_value=9))
