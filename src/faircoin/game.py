@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 
 class GameError(Exception):
@@ -121,8 +121,7 @@ class Situation:
         return Fraction(self.s, self.n) if self.moves else Fraction(0)
 
 
-@dataclass(frozen=True)
-class Round:
+class Round(NamedTuple):
     n: int
     x: int
     stake: Fraction | float
@@ -145,7 +144,7 @@ class GameTrace:
 
     @property
     def final_capital(self):
-        return self.rounds[-1].capital if self.rounds else zero(self.exact)
+        return self._last().capital
 
     @property
     def moves(self) -> tuple[int, ...]:
@@ -153,17 +152,18 @@ class GameTrace:
 
     def play(self, stake, move: int) -> "GameTrace":
         validate_move(move)
-        prev = self.rounds[-1] if self.rounds else None
-        k_prev = prev.capital if prev else zero(self.exact)
-        s_prev = prev.s if prev else 0
-        n = (prev.n if prev else 0) + 1
+        prev = self._last()
         if not self.exact:
             stake = float(stake)
-        capital = settle(k_prev, stake, move)
+        capital = settle(prev.capital, stake, move)
         if not self.exact and not math.isfinite(capital):
-            raise GameError(f"capital overflowed float64 range at round {n}")
-        self.rounds.append(Round(n=n, x=move, stake=stake, capital=capital, s=s_prev + move))
+            raise GameError(f"capital overflowed float64 range at round {prev.n + 1}")
+        self.rounds.append(Round(prev.n + 1, move, stake, capital, prev.s + move))
         return self
+
+    def _last(self) -> Round:
+        """The last round; round 0 (no move, zero gain) while the trace is empty."""
+        return self.rounds[-1] if self.rounds else Round(0, 0, 0, zero(self.exact), 0)
 
     def wealth(self, i: int):
         """Total wealth after round i (i=0 gives the initial capital)."""
@@ -182,10 +182,10 @@ class GameTrace:
     CSV_COLUMNS = ("n", "x", "M", "K", "s")
 
     def write_csv(self, f: IO[str]) -> None:
-        writer = csv.writer(f)
-        writer.writerow(self.CSV_COLUMNS)
+        """The rows csv.writer would write, CRLF ended; no field needs quoting."""
+        f.write(",".join(self.CSV_COLUMNS) + "\r\n")
         for r in self.rounds:
-            writer.writerow([r.n, r.x, fmt_number(r.stake), fmt_number(r.capital), r.s])
+            f.write(f"{r.n},{r.x},{fmt_number(r.stake)},{fmt_number(r.capital)},{r.s}\r\n")
 
     @classmethod
     def read_csv(cls, f: IO[str], exact: bool = True) -> "GameTrace":
@@ -199,9 +199,10 @@ class GameTrace:
         return trace
 
     def write_jsonl(self, f: IO[str]) -> None:
+        """The lines json.dumps would write: the number texts need no escaping."""
         for r in self.rounds:
-            f.write(json.dumps({"n": r.n, "x": r.x, "M": fmt_number(r.stake),
-                                "K": fmt_number(r.capital), "s": r.s}) + "\n")
+            f.write(f'{{"n": {r.n}, "x": {r.x}, "M": "{fmt_number(r.stake)}", '
+                    f'"K": "{fmt_number(r.capital)}", "s": {r.s}}}\n')
 
     @classmethod
     def read_jsonl(cls, f: IO[str], exact: bool = True) -> "GameTrace":
@@ -227,7 +228,7 @@ class GameTrace:
             m, k = parse_number(m, self.exact), parse_number(k, self.exact)
         except (ValueError, ArithmeticError) as exc:
             raise GameError(f"{where}: cannot read row {row!r}: {exc}") from None
-        prev = self.rounds[-1] if self.rounds else Round(0, 0, 0, zero(self.exact), 0)
+        prev = self._last()
         if n != prev.n + 1 or x not in (-1, 1) or s != prev.s + x or k != prev.capital + m * x:
             raise GameError(f"{where}: row {row!r} does not follow round n={prev.n}, "
                             f"s={prev.s}, K={fmt_number(prev.capital)}")
@@ -236,6 +237,8 @@ class GameTrace:
 
 def fmt_number(v) -> str:
     """Rationals serialize as "num/den"; floats use repr round-tripping."""
+    if type(v) is float:
+        return repr(v)
     if isinstance(v, (Fraction, int)):
         return _fmt_ratio(v.numerator, v.denominator)
     return repr(float(v))

@@ -115,19 +115,9 @@ class EventReport:
     max_n_xbar_sq: Fraction
 
     def to_json_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "exceed_count": self.exceed_count,
-            "exceed_rounds": list(self.exceed_rounds),
-            "pos_exceed_count": self.pos_exceed_count,
-            "neg_exceed_count": self.neg_exceed_count,
-            "zero_return_count": self.zero_return_count,
-            "last_zero_return": self.last_zero_return,
-            "max_s": self.max_s,
-            "min_s": self.min_s,
-            "max_abs_s": self.max_abs_s,
-            "max_n_xbar_sq": fmt_number(self.max_n_xbar_sq),
-        }
+        """The fields in declaration order, with the ratio as "num/den"."""
+        return {**vars(self), "exceed_rounds": list(self.exceed_rounds),
+                "max_n_xbar_sq": fmt_number(self.max_n_xbar_sq)}
 
 
 def event_report(prefix) -> EventReport:
@@ -138,7 +128,7 @@ def event_report(prefix) -> EventReport:
     pos = neg = zeros = 0
     last_zero = None
     max_s = min_s = 0
-    max_nx2 = Fraction(0)
+    best_sq, best_n = 0, 1  # max of s^2/n so far, compared by cross-multiplying
     for n, x in enumerate(moves, start=1):
         s += x
         if boundary_exceeds(n, s):
@@ -150,9 +140,12 @@ def event_report(prefix) -> EventReport:
         if s == 0:
             zeros += 1
             last_zero = n
-        max_s = max(max_s, s)
-        min_s = min(min_s, s)
-        max_nx2 = max(max_nx2, Fraction(s * s, n))
+        elif s > max_s:
+            max_s = s
+        elif s < min_s:
+            min_s = s
+        if s * s * best_n > best_sq * n:
+            best_sq, best_n = s * s, n
     return EventReport(
         rounds=len(moves),
         exceed_count=len(exceed_rounds),
@@ -164,5 +157,5 @@ def event_report(prefix) -> EventReport:
         max_s=max_s,
         min_s=min_s,
         max_abs_s=max(max_s, -min_s),
-        max_n_xbar_sq=max_nx2,
+        max_n_xbar_sq=Fraction(best_sq, best_n),
     )

@@ -128,6 +128,71 @@ def test_price_and_census_output_pinned(capsys):
     assert h.hexdigest() == digest
 
 
+# SHA-256 of each simulate stdout (trace and event report), recorded when the
+# rows still went through csv.writer and json.dumps and the report kept a
+# Fraction max; minimax searches the whole game, so it plays 8 rounds
+SIMULATE_HORIZONS = {"iid:seed=3": 300, "alt": 300, "minimax:depth=8": 8}
+SIMULATE_DIGESTS = {
+    ("stopadd:eps=1", "iid:seed=3", "exact", "csv"): "5e072dcd710441cb9a2b191e0b62861a35887c9e4e79874518361544746e365d",
+    ("stopadd:eps=1", "iid:seed=3", "exact", "jsonl"): "bc09d92cb71755fccd1650c914add146cb73b0d6eac3982bcb4783047c1f5b1f",
+    ("stopadd:eps=1", "iid:seed=3", "float64", "csv"): "0c781892995259ef679f549b18413adf04558f1d676208ca23c34e5503726283",
+    ("stopadd:eps=1", "iid:seed=3", "float64", "jsonl"): "81d64b07862442da77c13786c7a41ce5c96adfdfb62d9419b343688faf64d909",
+    ("stopadd:eps=1", "alt", "exact", "csv"): "f53056d36e071efead06fee7e49c3546244e9b7282588b0680a2b596aae40f78",
+    ("stopadd:eps=1", "alt", "exact", "jsonl"): "0fb41cae2ad31bd84e600f32b698cd21741de78d49589b5c5b059bbb41cf406d",
+    ("stopadd:eps=1", "alt", "float64", "csv"): "3a533b27ec857e5f6f86a9c8be1437354337412dfcc54b44c02c2bc1f8ac4e7b",
+    ("stopadd:eps=1", "alt", "float64", "jsonl"): "aa99355a6e512423566178df10f922f355c3e6099d6c1b433842ad07a5aab9d3",
+    ("stopadd:eps=1", "minimax:depth=8", "exact", "csv"): "19180e97f50cf5e7165bae9a8db791e7f026739de63f55d2cb6d7a04cf5b1a0e",
+    ("stopadd:eps=1", "minimax:depth=8", "exact", "jsonl"): "b39c0c00aa14ee0c5c78e37e4252ef6ffe69bb6ae4c83c0d56bbe6851961d27a",
+    ("stopadd:eps=1", "minimax:depth=8", "float64", "csv"): "1c70c36dac03b7edeb67a644cbe2f43606b898a4be4b608dfce768a7c3cb97ad",
+    ("stopadd:eps=1", "minimax:depth=8", "float64", "jsonl"): "d90f65515f503af6b6175ca3c5bdef9e54d560012e13a2cbcf0b5930fa92bc2c",
+    ("mulc:c=1/2", "iid:seed=3", "exact", "csv"): "a5fe78a31e66de72de808fa303d17ba1e7e102cb9417af802799979ff24ad5cc",
+    ("mulc:c=1/2", "iid:seed=3", "exact", "jsonl"): "f7596bafca5bfa8784a3f979baaa1620c7ea725f53d676aef77d2d5ba6641433",
+    ("mulc:c=1/2", "iid:seed=3", "float64", "csv"): "644bffb64ad8ea62e4b4931263e27ce66a40c210f9c04ad83db6853c7d63a3b5",
+    ("mulc:c=1/2", "iid:seed=3", "float64", "jsonl"): "72c461b62afc8c75db06e81d12b24c9325f13f9c02895bfd1d9c9837e69fd957",
+    ("mulc:c=1/2", "alt", "exact", "csv"): "1453c87784780c9955ec44e1f7c43589f9dacd898fae115212ed6b22d4e53f0a",
+    ("mulc:c=1/2", "alt", "exact", "jsonl"): "5c260b11ee572ff23f8391b2bf0f4b09cc45636257e774f9ec78cd0342665fe9",
+    ("mulc:c=1/2", "alt", "float64", "csv"): "a59b90f27ca086e373c18ecdca1fd560d2892315ad254c046923eb8e12b9f9ce",
+    ("mulc:c=1/2", "alt", "float64", "jsonl"): "183cb6733a9db39b181f2c8a3a81df390d8f71be4538067482d29f6e30eb020b",
+    ("mulc:c=1/2", "minimax:depth=8", "exact", "csv"): "e23799ce94bd94526217a8f558daaa19e54e9b02597208e161d25c8997f2bfe0",
+    ("mulc:c=1/2", "minimax:depth=8", "exact", "jsonl"): "1856b716f859f57a0a77d27d8cb0a47094fb16a239836fba9510f3aec7e54149",
+    ("mulc:c=1/2", "minimax:depth=8", "float64", "csv"): "8fcb36c74fdc96350e44bdf6c1584b3543f85045d2ace56b4f422fcc76afb370",
+    ("mulc:c=1/2", "minimax:depth=8", "float64", "jsonl"): "8836c8761c0f7a436cbc58bc2f7dcebfd4f2ea2a7c4111bcb3fce96594830c96",
+    ("q:depth=5", "iid:seed=3", "exact", "csv"): "942dd1cb20017c15ff5e9dfdbeb5c27f1127d6c16efa81a0a18109bdbfd157b1",
+    ("q:depth=5", "iid:seed=3", "exact", "jsonl"): "513308e721f2d0dcacf6657259002824699639d0c8276a313db3433eee1c897a",
+    ("q:depth=5", "iid:seed=3", "float64", "csv"): "75513ef31d35e2951dc1fbf47adbdd98f3226117f74663caeabf8adf9071abab",
+    ("q:depth=5", "iid:seed=3", "float64", "jsonl"): "6593d4898ca9c30a092569b836469ede8126d0267098645366757a9b3035f8a9",
+    ("q:depth=5", "alt", "exact", "csv"): "55ce5acacdb81a3481ca22f7b9e1c196e019da533459e3914cb5ce06e362e4b7",
+    ("q:depth=5", "alt", "exact", "jsonl"): "9f47a09caa8572bde0ad43ec45328630f38cb25d9c7714f52bdc0b1a1dc0fae3",
+    ("q:depth=5", "alt", "float64", "csv"): "1275e41057f4c33d0855ea179b14e6e30edda39f7b8d3bfa7a18f60dc00dcedb",
+    ("q:depth=5", "alt", "float64", "jsonl"): "f3c7a0ab2a33a466b3b16fa48e5ac9a80cbcd678fe302216c935ab8435459663",
+    ("q:depth=5", "minimax:depth=8", "exact", "csv"): "639c64f430685c0c59d4bfb970f157f591722d40a96185567f11f60e5163f09b",
+    ("q:depth=5", "minimax:depth=8", "exact", "jsonl"): "759530d99a91864cb1664762ad8712dce31028cef01888eae933d2471b5dac94",
+    ("q:depth=5", "minimax:depth=8", "float64", "csv"): "be9bf9724ce302bf437807b54bfb4d91659c7be18d2eb8cba137439d55f16f8c",
+    ("q:depth=5", "minimax:depth=8", "float64", "jsonl"): "e470025ffeeca9ed5c1db4426aaf9c6edd75dd9900d8f2f3225aae460c0ccdf9",
+    ("oneside:N=3,dir=up", "iid:seed=3", "exact", "csv"): "0da555cb4698edb850f3b898267334b8fbebe65750456862b9f498d1fc9c0e16",
+    ("oneside:N=3,dir=up", "iid:seed=3", "exact", "jsonl"): "cf353276940c37f12c46adf0f4b2507d0117cbb6820699d5ca8afb2dc6636ea2",
+    ("oneside:N=3,dir=up", "iid:seed=3", "float64", "csv"): "a279820319c0f0e1e23f62a8fda72a487fc31937178a28bfd1f5485849c3e81f",
+    ("oneside:N=3,dir=up", "iid:seed=3", "float64", "jsonl"): "4bc0e4af4c87c0d78fc953a278466febda8c05887bbd253f42864f1dc65fc0d7",
+    ("oneside:N=3,dir=up", "alt", "exact", "csv"): "3462d61c15956bbb17e6850940531b39fae6e428d51f7244e35a56d08d83d8e4",
+    ("oneside:N=3,dir=up", "alt", "exact", "jsonl"): "8ea0a9131394afec7837c993b2ff8fedbf3fc44436bf0b5a51578e83478d80ff",
+    ("oneside:N=3,dir=up", "alt", "float64", "csv"): "aa9ebeeeb7f3925f92be36255a2c4424a0e7bd2393e6af002e308e56aa9d68a6",
+    ("oneside:N=3,dir=up", "alt", "float64", "jsonl"): "4b8947878fadc96e84107247b52cc7dba109fbcbc7ac6c6ff55249d9667158bd",
+    ("oneside:N=3,dir=up", "minimax:depth=8", "exact", "csv"): "e788d864dd1e28b48ba381aeb0d93240c7cb7646e0aa3d990b4253cf4541cdbf",
+    ("oneside:N=3,dir=up", "minimax:depth=8", "exact", "jsonl"): "bbf9dcbf3d565caa144e5e49a0d992bb35ddf4a1c14159a05080ae4d3f280ef7",
+    ("oneside:N=3,dir=up", "minimax:depth=8", "float64", "csv"): "f62451bae26e66672bc3502f7b05e59a4fe25e032b7f2cdee08019d192c7594f",
+    ("oneside:N=3,dir=up", "minimax:depth=8", "float64", "jsonl"): "e29bca1c8118eebb8650e62297a61c4d6eea63fcc714de89ffb8f2b62d6cf5d8",
+}
+
+
+@pytest.mark.parametrize("spec, reality, mode, fmt", sorted(SIMULATE_DIGESTS))
+def test_simulate_output_pinned(capsys, spec, reality, mode, fmt):
+    code, out = run_cli(capsys, "simulate", "--strategy", spec, "--reality", reality,
+                        "--horizon", str(SIMULATE_HORIZONS[reality]), "--mode", mode,
+                        "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_DIGESTS[spec, reality, mode, fmt]
+
+
 def test_verify_pass_and_exit_code(capsys):
     code, out = run_cli(capsys, "verify", "--check", "additive-closed-form",
                         "--depth", "10")

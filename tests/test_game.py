@@ -1,6 +1,8 @@
 """Protocol engine: situations, traces, serialization, game execution."""
 
+import csv
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -204,6 +206,65 @@ def test_numbers_past_int_digit_limit_round_trip():
     trace.write_csv(buf)
     buf.seek(0)
     assert GameTrace.read_csv(buf).rounds == trace.rounds
+
+
+def _csv_writer_text(trace):
+    """The trace as csv.writer renders it: the writer's own quoting and terminator."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(GameTrace.CSV_COLUMNS)
+    for r in trace.rounds:
+        writer.writerow([r.n, r.x, fmt_number(r.stake), fmt_number(r.capital), r.s])
+    return buf.getvalue()
+
+
+def _json_dumps_text(trace):
+    """The trace as json.dumps renders it, one object per line."""
+    return "".join(json.dumps({"n": r.n, "x": r.x, "M": fmt_number(r.stake),
+                               "K": fmt_number(r.capital), "s": r.s}) + "\n"
+                   for r in trace.rounds)
+
+
+def _assert_writers_match_oracles(trace):
+    csv_buf, jsonl_buf = io.StringIO(), io.StringIO()
+    trace.write_csv(csv_buf)
+    trace.write_jsonl(jsonl_buf)
+    assert csv_buf.getvalue() == _csv_writer_text(trace)
+    assert jsonl_buf.getvalue() == _json_dumps_text(trace)
+
+
+exact_stakes = st.one_of(st.fractions(min_value=-8, max_value=8, max_denominator=10**6),
+                         st.integers(min_value=-3, max_value=3))
+float_stakes = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@given(st.booleans(), st.data())
+def test_writers_match_csv_and_json_modules(exact, data):
+    stakes = exact_stakes if exact else float_stakes
+    rows = data.draw(st.lists(st.tuples(stakes, st.sampled_from([-1, 1])), max_size=30))
+    trace = GameTrace(exact=exact)
+    for stake, move in rows:
+        trace.play(stake, move)
+    _assert_writers_match_oracles(trace)
+
+
+def test_writers_match_csv_and_json_modules_at_the_edges():
+    floats = GameTrace(exact=False)
+    floats.play(0.1, 1)
+    floats.play(0.2, 1)     # K = 0.30000000000000004
+    floats.play(-2.5, -1)   # a negative stake
+    csv_buf = io.StringIO()
+    floats.write_csv(csv_buf)
+    assert csv_buf.getvalue().split("\r\n")[:3] == [
+        "n,x,M,K,s", "1,1,0.1,0.1,1", "2,1,0.2,0.30000000000000004,2"]
+    assert csv_buf.getvalue().endswith("\r\n")
+    _assert_writers_match_oracles(floats)
+    # 2**14400 has 4335 digits: this row's numbers take _fmt_ratio's Decimal route
+    exact = GameTrace()
+    exact.play(Fraction(-1, 2), -1)
+    exact.play(Fraction(-3, 1 << 14400), 1)
+    assert len(fmt_number(exact.rounds[-1].capital)) > 4300
+    _assert_writers_match_oracles(exact)
 
 
 def test_csv_rejects_bad_header():

@@ -152,20 +152,32 @@ def test_event_report_empty():
 def test_event_report_vs_naive_recount(moves):
     rep = event_report(moves)
     s = 0
+    sums = []
     exceed = []
     pos = neg = zeros = 0
+    last_zero = None
+    max_nx2 = Fraction(0)  # a Fraction max per round, as the report once kept it
     for n, x in enumerate(moves, start=1):
         s += x
+        sums.append(s)
         if (abs(s) + 1) ** 2 > n:
             exceed.append(n)
             if s > 0:
                 pos += 1
             else:
                 neg += 1
-        zeros += s == 0
+        if s == 0:
+            zeros += 1
+            last_zero = n
+        max_nx2 = max(max_nx2, Fraction(s * s, n))
     assert rep.exceed_rounds == tuple(exceed)
     assert rep.pos_exceed_count == pos and rep.neg_exceed_count == neg
     assert rep.zero_return_count == zeros
+    assert rep.last_zero_return == last_zero
+    assert rep.max_s == max([0] + sums) and rep.min_s == min([0] + sums)
+    assert rep.max_abs_s == max([0] + [abs(v) for v in sums])
+    assert rep.max_n_xbar_sq == max_nx2
+    assert type(rep.max_n_xbar_sq) is Fraction
 
 
 @given(moves_lists)
