@@ -113,10 +113,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_price(args) -> int:
     if args.series:
-        for b in pricing.bracket_series(args.l, args.horizon):
-            print(json.dumps(b.to_json_dict()))
+        sys.stdout.writelines(b.json_line() for b in pricing.bracket_series(args.l, args.horizon))
     else:
-        print(json.dumps(pricing.upper_price_bracket(args.l, args.horizon).to_json_dict()))
+        sys.stdout.write(pricing.upper_price_bracket(args.l, args.horizon).json_line())
     return 0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -49,9 +50,13 @@ def ratio(p: int, q: int, exact: bool):
     return Fraction(p, q) if exact else p / q
 
 
-def validate_move(x: int) -> int:
-    if x not in (-1, 1):
-        raise GameError(f"move must be -1 or +1, got {x!r}")
+def validate_move(x, error=GameError) -> int:
+    """x as the int -1 or +1.  Integers of other types (numpy's) are
+    converted; bool and float are refused, though True and 1.0 equal 1."""
+    if type(x) is not int and not isinstance(x, bool) and isinstance(x, numbers.Integral):
+        x = int(x)
+    if type(x) is not int or x not in (-1, 1):
+        raise error(f"move must be -1 or +1, got {x!r}")
     return x
 
 
@@ -82,9 +87,7 @@ class Situation:
     moves: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "moves", tuple(self.moves))
-        for x in self.moves:
-            validate_move(x)
+        object.__setattr__(self, "moves", tuple(validate_move(x) for x in self.moves))
 
     @classmethod
     def from_string(cls, text: str) -> "Situation":
@@ -151,7 +154,7 @@ class GameTrace:
         return tuple(r.x for r in self.rounds)
 
     def play(self, stake, move: int) -> "GameTrace":
-        validate_move(move)
+        move = validate_move(move)
         prev = self._last()
         if not self.exact:
             stake = float(stake)

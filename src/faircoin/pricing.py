@@ -15,15 +15,17 @@ per-level power-of-two scale, so nothing is ever rounded.
 
 Infinite-horizon upper prices are represented as brackets: the backward
 induction is run once with tail value 0 and once with tail value 1 at the
-truncation horizon; the true price lies between the two roots, and the gap
-is exactly the still-live probability mass at the horizon.  A bracket is
-stored the same way, as two integer numerators over one power-of-two
-scale: it builds its Fractions only when they are read, and prints
-straight from the integers, so a long series takes no gcd.
+truncation horizon, each run holding one level at a time; the true price
+lies between the two roots, and the gap is exactly the still-live
+probability mass at the horizon.  A bracket is stored the same way, as
+two integer numerators over one power-of-two scale: it builds its
+Fractions only when they are read, and prints straight from the
+integers, so a long series takes no gcd.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,7 +34,8 @@ from math import isqrt
 from .game import fmt_dyadic
 from .stopping import boundary_exceeds
 
-TAIL_VALUES = ("zero", "one", "half")
+_TAIL_NUMS = {"zero": 0, "one": 2, "half": 1}  # tail values as numerators at scale 2**1
+TAIL_VALUES = tuple(_TAIL_NUMS)
 
 
 class PricingError(Exception):
@@ -125,6 +128,26 @@ class EtaTable:
         return self.value(0, 0)
 
 
+def _backward_levels(widths: list[int], tail_num: int):
+    """Yield the value-table levels n = horizon, ..., 0 of the strip
+    ``widths`` (horizon = len(widths) - 1), one at a time: level n holds
+    numerators at scale 2**(horizon - n + 1), indexed by (s + w_n) // 2,
+    and the live states at the horizon hold ``tail_num`` (at scale 2**1)."""
+    horizon = len(widths) - 1
+    level = [tail_num] * (widths[horizon] + 1)
+    yield level
+    for n in range(horizon - 1, -1, -1):
+        w = widths[n]
+        if widths[n + 1] < w:
+            # the outermost children are absorbed: pad with their payoffs
+            # at the child scale 2**(horizon - n)
+            child_bits = horizon - n
+            level = [_absorbed_payoff(-w - 1) << child_bits, *level,
+                     _absorbed_payoff(w + 1) << child_bits]
+        level = [a + b for a, b in zip(level, level[1:])]  # parent scale doubles
+        yield level
+
+
 def eta_table(l: int, horizon: int, tail_value: str = "zero") -> EtaTable:
     """Build the exact value table by backward induction from the horizon.
 
@@ -138,17 +161,7 @@ def eta_table(l: int, horizon: int, tail_value: str = "zero") -> EtaTable:
         raise PricingError(f"tail_value must be one of {TAIL_VALUES}")
 
     widths = _strip_widths(l, horizon)
-    tail_num = {"zero": 0, "one": 2, "half": 1}[tail_value]  # scale 2**1
-    levels = [[tail_num] * (widths[horizon] + 1)]
-    for n in range(horizon - 1, -1, -1):
-        child, w = levels[-1], widths[n]
-        if widths[n + 1] < w:
-            # the outermost children are absorbed: pad with their payoffs
-            # at the child scale 2**(horizon - n)
-            child_bits = horizon - n
-            child = [_absorbed_payoff(-w - 1) << child_bits, *child,
-                     _absorbed_payoff(w + 1) << child_bits]
-        levels.append([a + b for a, b in zip(child, child[1:])])  # parent scale doubles
+    levels = list(_backward_levels(widths, _TAIL_NUMS[tail_value]))
     levels.reverse()
     return EtaTable(l=l, horizon=horizon, tail_value=tail_value,
                     _widths=widths, _levels=levels)
@@ -197,18 +210,25 @@ class PriceBracket:
     def __contains__(self, price) -> bool:
         return self.lower <= price <= self.upper
 
-    def to_json_dict(self) -> dict:
+    def json_line(self) -> str:
+        """The bracket as one line of JSON, byte for byte what json.dumps
+        prints for it; its "num/den" strings need no escaping."""
         bits = self.horizon + 1
-        return {"l": self.l, "horizon": self.horizon,
-                "lower": fmt_dyadic(self.lower_num, bits),
-                "upper": fmt_dyadic(self.upper_num, bits),
-                "live_mass": fmt_dyadic(self.upper_num - self.lower_num, bits)}
+        return (f'{{"l": {self.l}, "horizon": {self.horizon}, '
+                f'"lower": "{fmt_dyadic(self.lower_num, bits)}", '
+                f'"upper": "{fmt_dyadic(self.upper_num, bits)}", '
+                f'"live_mass": "{fmt_dyadic(self.upper_num - self.lower_num, bits)}"}}\n')
 
 
 def upper_price_bracket(l: int, horizon: int) -> PriceBracket:
-    """Finite-horizon bracket around the ticket's upper price at the root."""
-    lower = eta_table(l, horizon, "zero")._levels[0][0]
-    upper = eta_table(l, horizon, "one")._levels[0][0]
+    """Finite-horizon bracket around the ticket's upper price at the root:
+    the roots of the zero-tail and one-tail backward inductions, each run
+    holding one level of its table at a time."""
+    if horizon < 1:
+        raise PricingError("horizon must be >= 1")
+    widths = _strip_widths(l, horizon)
+    lower, upper = (deque(_backward_levels(widths, _TAIL_NUMS[tail]), maxlen=1)[0][0]
+                    for tail in ("zero", "one"))
     return PriceBracket(l, horizon, lower, upper)
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import pricing
-from .game import ZERO, Situation, number, ratio, settle, spec_args, spec_value, zero
+from .game import (ZERO, Situation, number, ratio, settle, spec_args, spec_value,
+                   validate_move, zero)
 from .stopping import boundary_exceeds
 
 
@@ -45,8 +46,8 @@ class Strategy:
         return stake
 
     def observe(self, x: int) -> None:
-        if x not in (-1, 1):
-            raise StrategyError(f"move must be -1 or +1, got {x!r}")
+        if type(x) is not int or x not in (-1, 1):
+            x = validate_move(x, StrategyError)
         if self._pending is not None:  # else a spectator update: a zero stake
             self.gain = settle(self.gain, self._pending, x)
             self._pending = None

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from faircoin.cli import main
-from faircoin.game import GameTrace
+from faircoin.game import GameTrace, fmt_number
+from faircoin.pricing import PriceBracket, eta_table
 from faircoin.strategies import StrategyError, parse_strategy
 from faircoin.verify import product_capital
 
@@ -182,6 +183,38 @@ SIMULATE_DIGESTS = {
     ("oneside:N=3,dir=up", "minimax:depth=8", "float64", "csv"): "f62451bae26e66672bc3502f7b05e59a4fe25e032b7f2cdee08019d192c7594f",
     ("oneside:N=3,dir=up", "minimax:depth=8", "float64", "jsonl"): "e29bca1c8118eebb8650e62297a61c4d6eea63fcc714de89ffb8f2b62d6cf5d8",
 }
+
+
+def _bracket_json(l, horizon, lower, upper):
+    """The line json.dumps prints for a bracket, from Fractions and fmt_number."""
+    return json.dumps({"l": l, "horizon": horizon, "lower": fmt_number(lower),
+                       "upper": fmt_number(upper), "live_mass": fmt_number(upper - lower)})
+
+
+def test_price_lines_are_json_dumps_of_the_table_roots(capsys):
+    for l in range(10):
+        expect = []
+        for h in range(1, 65):
+            line = _bracket_json(l, h, eta_table(l, h, "zero").root_value,
+                                 eta_table(l, h, "one").root_value)
+            expect.append(line)
+            code, out = run_cli(capsys, "price", "--l", str(l), "--horizon", str(h))
+            assert (code, out) == (0, line + "\n")
+        code, out = run_cli(capsys, "price", "--l", str(l), "--horizon", "64", "--series")
+        assert (code, out) == (0, "".join(line + "\n" for line in expect))
+
+
+def test_bracket_line_past_the_int_digit_limit():
+    # 2**15001 has 4,516 decimal digits, past str(int)'s default limit of
+    # 4,300, so both renderings take the Decimal route
+    horizon = 15000
+    den = Fraction(1, 2 << horizon)
+    for lower_num, upper_num in [((1 << 14999) + 12345, (3 << 14999) - 1),
+                                 (3 << 20, (1 << 15001) - (3 << 20)),
+                                 (0, 2 << horizon)]:
+        b = PriceBracket(7, horizon, lower_num, upper_num)
+        assert b.json_line() == _bracket_json(7, horizon, lower_num * den,
+                                              upper_num * den) + "\n"
 
 
 @pytest.mark.parametrize("spec, reality, mode, fmt", sorted(SIMULATE_DIGESTS))

@@ -5,6 +5,7 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from faircoin.game import (
     check_collateral,
     fmt_dyadic,
     fmt_number,
+    moves_of,
     parse_number,
     run_game,
 )
@@ -57,6 +59,26 @@ def test_play_round_arithmetic():
 def test_play_round_rejects_bad_move():
     with pytest.raises(GameError):
         GameTrace().play(Fraction(1), 0)
+
+
+@pytest.mark.parametrize("move", [True, False, 1.0, -1.0, Fraction(1), 0, 2])
+def test_moves_are_the_ints_minus_one_and_one(move):
+    # True and 1.0 equal 1, but a trace holding them writes a CSV row that
+    # read_csv refuses, or turns an exact account into a float
+    with pytest.raises(GameError):
+        GameTrace().play(Fraction(1), move)
+    with pytest.raises(GameError):
+        Situation((move,))
+    with pytest.raises(GameError):
+        moves_of([1, move])
+
+
+def test_integer_moves_of_other_types_become_ints():
+    moves = np.array([1, -1, 1], dtype=np.int8)
+    for got in (moves_of(moves), Situation(moves).moves,
+                GameTrace().play(Fraction(1), moves[0]).play(Fraction(1), moves[1]).moves):
+        assert got == tuple(int(x) for x in moves[:len(got)])
+        assert {type(x) for x in got} == {int}
 
 
 def test_process_values_examples():

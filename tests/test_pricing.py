@@ -1,5 +1,6 @@
 """Value tables, price brackets, absorption census, and replication."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,30 @@ def test_bracket_series_matches_fractions_from_the_sweep():
             assert (b.l, b.horizon, b.lower, b.upper, b.live_mass) == (
                 l, h, lower, upper, upper - lower)
             assert bracket_series(l, h) == series[:h]
+
+
+def test_upper_bracket_roots_are_the_table_roots():
+    for l in range(10):
+        for h in range(1, 65):
+            b = upper_price_bracket(l, h)
+            assert (b.lower, b.upper) == (eta_table(l, h, "zero").root_value,
+                                          eta_table(l, h, "one").root_value)
+    with pytest.raises(PricingError):
+        upper_price_bracket(0, 0)
+    with pytest.raises(PricingError):
+        upper_price_bracket(-1, 4)
+
+
+def test_upper_bracket_holds_one_level_at_a_time():
+    # two full value tables to horizon 2048 take about 9 MB; one level takes kilobytes
+    tracemalloc.start()
+    try:
+        b = upper_price_bracket(4, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b == bracket_series(4, 2048)[-1]
+    assert peak < 1 << 20
 
 
 def test_bracket_fractions_are_built_once():

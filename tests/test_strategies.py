@@ -4,6 +4,7 @@ import csv
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -435,6 +436,21 @@ def test_spectator_observe_counts_as_zero_stake():
     strat.observe(1)  # no next_stake() first
     assert strat.gain == 0
     assert strat.n == 1
+
+
+@pytest.mark.parametrize("move", [True, False, 1.0, -1.0, Fraction(-1), 0])
+def test_observe_takes_only_the_ints_minus_one_and_one(move):
+    for strat in (ZeroStrategy(), MultiplicativeContrarian(Fraction(1, 2))):
+        strat.next_stake()
+        with pytest.raises(StrategyError):
+            strat.observe(move)
+        assert (strat.n, strat.s, strat.gain) == (0, 0, 0)
+
+
+def test_observe_converts_numpy_moves_to_ints():
+    strat = ZeroStrategy()
+    strat.observe(np.int64(-1))
+    assert type(strat.s) is int and strat.s == -1
 
 
 def test_double_next_stake_rejected():
