@@ -83,10 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(dest: str):
-    return sys.stdout if dest == "-" else open(dest, "w")
-
-
 def cmd_simulate(args) -> int:
     exact = args.mode == "exact"
     strategy = parse_strategy(args.strategy, exact=exact)
@@ -98,7 +94,10 @@ def cmd_simulate(args) -> int:
     if initial < 0:
         raise GameError(f"--initial must be >= 0, got {args.initial}")
     trace = run_game(strategy, reality, args.horizon, initial_capital=initial, exact=exact)
-    out = _open_out(args.output)
+    try:
+        out = sys.stdout if args.output == "-" else open(args.output, "w")
+    except OSError as exc:
+        raise GameError(f"cannot open --output {args.output}: {exc.strerror}") from None
     try:
         if args.format == "csv":
             trace.write_csv(out)

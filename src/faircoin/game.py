@@ -32,6 +32,8 @@ class GameError(Exception):
 
 ZERO = Fraction(0)  # the stake of an idle round; Fractions are immutable, so one is shared
 
+STATE_BUDGET = 1 << 22  # the most states a game-tree walk (verify's, worst_case) may expand
+
 
 def zero(exact: bool):
     """The zero of a numeric mode: a Fraction when exact, a float in float64 mode."""

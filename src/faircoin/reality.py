@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .game import Situation, spec_args
-
-DEFAULT_MINIMAX_CAP = 22
+from .game import STATE_BUDGET, Situation, spec_args
 
 
 class RealityError(Exception):
@@ -83,25 +81,26 @@ class Greedy(RealitySource):
         return self.tie
 
 
-def worst_case(strategy, rounds: int, objective: str = "final",
-               depth_cap: int = DEFAULT_MINIMAX_CAP):
+def worst_case(strategy, rounds: int, objective: str = "final"):
     """Exhaustive adversarial value of a strategy over ``rounds`` moves.
 
     Returns (value, path) minimizing Skeptic's final wealth
     (objective="final") or the running minimum of wealth over the play-out
     (objective="running_min").  The strategy instance is not mutated.
     Search is memoized on the strategy's state_key when it provides one;
-    ties prefer the -1 move.
+    ties prefer the -1 move.  It raises RealityError when its memo misses
+    pass STATE_BUDGET or ``rounds`` the recursion limit, and at once when a
+    strategy without a state_key would expand 2**rounds - 1 > STATE_BUDGET.
     """
-    if rounds > depth_cap:
-        raise RealityError(f"minimax depth {rounds} exceeds cap {depth_cap}")
     if rounds < 0:
         raise RealityError(f"minimax depth must be >= 0, got {rounds}")
     if objective not in ("final", "running_min"):
         raise RealityError(f"unknown objective {objective!r}")
     memo: dict = {}
+    expanded = 0
 
     def search(strat, left: int):
+        nonlocal expanded
         if left == 0:
             return strat.wealth, ()
         key = strat.state_key()
@@ -109,6 +108,12 @@ def worst_case(strategy, rounds: int, objective: str = "final",
             hit = memo.get((left, key))
             if hit is not None:
                 return hit
+        elif left >= (STATE_BUDGET + 1).bit_length():  # met at the root first: no extra probe
+            raise RealityError(
+                f"minimax depth {rounds} walks all 2**{left} - 1 states, over budget")
+        expanded += 1
+        if expanded > STATE_BUDGET:
+            raise RealityError(f"minimax depth {rounds} is over the state budget {STATE_BUDGET}")
         best = None
         best_path = ()
         for x, nxt in zip((-1, 1), strat.children()):
@@ -122,7 +127,10 @@ def worst_case(strategy, rounds: int, objective: str = "final",
             memo[(left, key)] = (best, best_path)
         return best, best_path
 
-    return search(strategy, rounds)
+    try:
+        return search(strategy, rounds)
+    except RecursionError:
+        raise RealityError(f"minimax depth {rounds} is too deep to recurse") from None
 
 
 class Minimax(RealitySource):
@@ -134,11 +142,8 @@ class Minimax(RealitySource):
     it, so the searched opponent really is the strategy being played.
     """
 
-    def __init__(self, strategy_factory, horizon: int,
-                 depth_cap: int = DEFAULT_MINIMAX_CAP):
+    def __init__(self, strategy_factory, horizon: int):
         self.horizon = horizon
-        if horizon > depth_cap:
-            raise RealityError(f"minimax depth {horizon} exceeds cap {depth_cap}")
         self.mirror = strategy_factory()
         self._path = None
 
@@ -147,7 +152,7 @@ class Minimax(RealitySource):
         if n >= self.horizon:
             raise RealityError(f"minimax asked for move {n + 1} past its horizon {self.horizon}")
         if self._path is None:
-            _, self._path = worst_case(self.mirror, self.horizon, depth_cap=self.horizon)
+            _, self._path = worst_case(self.mirror, self.horizon)
         expected = self.mirror.next_stake()
         if expected != stake:
             raise RealityError(
@@ -177,6 +182,7 @@ def parse_reality(spec: str, strategy_factory=None, horizon: int | None = None) 
         if strategy_factory is None:
             raise RealityError("minimax reality needs the strategy to re-simulate")
         depth = spec_args(rest, RealityError)("depth", int)
-        return Minimax(strategy_factory, horizon if horizon is not None else depth,
-                       depth_cap=depth)
+        if horizon is not None and horizon > depth:
+            raise RealityError(f"horizon {horizon} exceeds the minimax depth {depth}")
+        return Minimax(strategy_factory, depth if horizon is None else horizon)
     raise RealityError(f"unknown reality spec {spec!r}")

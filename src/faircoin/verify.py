@@ -12,13 +12,12 @@ conservative slack margin because its slack is bounded away from zero.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .game import fmt_number, moves_of
+from .game import STATE_BUDGET, fmt_number, moves_of
 from .strategies import (
     AdditiveContrarian,
     MultiplicativeContrarian,
@@ -175,19 +174,6 @@ def additive_closed_form_check(prefix, eps) -> IdentityReport:
 # exhaustive engine-vs-oracle sweeps
 # ---------------------------------------------------------------------------
 
-def _cap(depth: int) -> None:
-    text = os.environ.get("FAIRCOIN_EXHAUSTIVE_CAP", "22")
-    try:
-        cap = int(text)
-    except ValueError:
-        raise VerifyError(
-            f"FAIRCOIN_EXHAUSTIVE_CAP must be an integer, got {text!r}") from None
-    if depth > cap:
-        raise VerifyError(f"exhaustive depth {depth} exceeds cap {cap}")
-    if depth < 1:
-        raise VerifyError("exhaustive depth must be >= 1")
-
-
 _MOVES = (-1, 1)
 
 
@@ -220,40 +206,52 @@ def _walk(identity: str, depth: int, root, step) -> IdentityReport:
     first failure, so a state it meets again belongs to a subtree that
     passed, and the order, the counterexample and the counts are those of
     the plain tree walk.  Nodes of the oracle-only walks carry
-    path-dependent sums, never merge, and are not keyed.
+    path-dependent sums, never merge, and are not keyed: such a walk
+    expands all 2**depth - 1 inner nodes, and is refused before it starts
+    when that is over STATE_BUDGET.  A walk raises VerifyError when its
+    ``rec`` calls pass the budget or its depth the recursion limit.
     """
-    leaves = 0
-    path = [0] * depth
+    if depth < 1:
+        raise VerifyError("exhaustive depth must be >= 1")
     seen = set() if any(isinstance(v, Strategy) for v in root) else None
+    if seen is None and depth >= (STATE_BUDGET + 1).bit_length():
+        raise VerifyError(f"exhaustive depth {depth} walks all 2**{depth} - 1 states, over budget")
+    leaves = expanded = 0
+    path = []  # the failing path, leaf move first, built as the walk unwinds
 
     def rec(node, n):
-        nonlocal leaves
+        nonlocal leaves, expanded
+        expanded += 1
+        if expanded > STATE_BUDGET:
+            raise VerifyError(f"exhaustive depth {depth} is over the state budget {STATE_BUDGET}")
         if n + 1 == depth:  # the children are leaves: count and check them
             for x, (failure, _) in zip(_MOVES, step(node, n)):
                 leaves += 1
                 if failure is not None:
-                    path[n] = x
+                    path.append(x)
                     return failure
             return None
         for x, (failure, child) in zip(_MOVES, step(node, n)):
-            path[n] = x
+            if failure is None:
+                if seen is not None:
+                    key = (n, _snapshot(child))
+                    if key in seen:
+                        leaves += 1 << (depth - n - 1)
+                        continue
+                    seen.add(key)
+                failure = rec(child, n + 1)
             if failure is not None:
-                del path[n + 1:]
-                return failure
-            if seen is not None:
-                key = (n, _snapshot(child))
-                if key in seen:
-                    leaves += 1 << (depth - n - 1)
-                    continue
-                seen.add(key)
-            if (failure := rec(child, n + 1)) is not None:
+                path.append(x)
                 return failure
         return None
 
-    failure = rec(root, 0)
+    try:
+        failure = rec(root, 0)
+    except RecursionError:
+        raise VerifyError(f"exhaustive depth {depth} is too deep to recurse") from None
     if failure is None:
         return IdentityReport(identity, leaves, Fraction(0))
-    return IdentityReport(identity, leaves, failure, tuple(path))
+    return IdentityReport(identity, leaves, failure, tuple(reversed(path)))
 
 
 def _mismatch(got, want):
@@ -262,7 +260,6 @@ def _mismatch(got, want):
 
 def exhaustive_product_check(c, depth: int) -> IdentityReport:
     """Engine capital == direct product, every factor > 0, all paths."""
-    _cap(depth)
     c = Fraction(c)
 
     def step(node, n):
@@ -280,7 +277,6 @@ def exhaustive_product_check(c, depth: int) -> IdentityReport:
 
 def exhaustive_summation_check(depth: int) -> IdentityReport:
     """The partial-summation identity, checked at every node of depth >= 2."""
-    _cap(depth)
     if depth < 2:
         raise VerifyError("the summation identity needs depth >= 2")
 
@@ -302,7 +298,6 @@ def exhaustive_summation_check(depth: int) -> IdentityReport:
 
 def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK) -> IdentityReport:
     """Float check of the log capital lower bound at every node of depth >= 2."""
-    _cap(depth)
     if depth < 2:
         raise VerifyError("the log bound needs depth >= 2")
     cf = _log_bound_c(c)
@@ -325,7 +320,6 @@ def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK) ->
 
 def exhaustive_additive_check(eps, depth: int) -> IdentityReport:
     """Engine capital of the unstopped additive bettor == (eps/2)(n - s^2)."""
-    _cap(depth)
     eps = Fraction(eps)
 
     def step(node, n):
@@ -338,7 +332,6 @@ def exhaustive_additive_check(eps, depth: int) -> IdentityReport:
 
 def exhaustive_stopped_additive_check(eps, depth: int) -> IdentityReport:
     """Stop-rule bettor: wealth >= 0 always; Lemma-form capital while unstopped."""
-    _cap(depth)
     eps = Fraction(eps)
     root = StoppedAdditive(eps)
     m = int(2 / eps)  # an integer, or the constructor above had refused eps
@@ -358,7 +351,6 @@ def exhaustive_stopped_additive_check(eps, depth: int) -> IdentityReport:
 
 def exhaustive_one_sided_check(N: int, direction: str, depth: int) -> IdentityReport:
     """One-sided capital: +-s_n/N before the hit, -1 at and after; wealth >= 0."""
-    _cap(depth)
     sign = 1 if direction == "down" else -1
 
     def step(node, n):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from faircoin import game, reality, verify
 from faircoin.cli import main
 from faircoin.game import GameTrace, fmt_number
 from faircoin.pricing import PriceBracket, eta_table
@@ -331,12 +332,30 @@ def _simulate(strategy="zero", reality="alt"):
     ["excursions", "--path", "+-", "--horizon", "5"],
     ["excursions", "--path", "+-", "--reality", "alt"],
     ["excursions", "--reality", "alt"],
+    # a walk over the state budget, or too deep to recurse
+    ["verify", "--check", "summation-identity", "--depth", "23"],
+    ["verify", "--check", "additive-closed-form", "--depth", "1200"],
+    _simulate() + ["--output", "/nonexistent/dir/x.csv"],
 ])
 def test_domain_error_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def test_minimax_over_the_state_budget_exits_2(capsys, monkeypatch):
+    # mulc's state_key holds its path-dependent gain, so its minimax tree
+    # hardly merges: depth 40 is stopped by the count, not by its depth
+    for module in (game, reality, verify):
+        monkeypatch.setattr(module, "STATE_BUDGET", 1 << 10)
+    argv = ["simulate", "--strategy", "mulc:c=1/2", "--reality", "minimax:depth=40",
+            "--horizon", "40"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "faircoin: minimax depth 40 is over the state budget 1024"]
 
 
 def test_identical_configs_identical_output(capsys):

@@ -22,6 +22,7 @@ from faircoin.reality import (
 from faircoin.strategies import (
     MultiplicativeContrarian,
     OneSided,
+    SignForcing,
     StoppedAdditive,
     ZeroStrategy,
     parse_strategy,
@@ -73,16 +74,38 @@ def test_worst_case_one_sided():
     assert path[0] == -1
 
 
-def test_worst_case_objectives_and_caps():
+def test_worst_case_objectives_and_caps(monkeypatch):
     val_final, _ = worst_case(StoppedAdditive(Fraction(1, 2)), 8)
     val_min, _ = worst_case(StoppedAdditive(Fraction(1, 2)), 8, objective="running_min")
     assert val_min <= val_final
-    with pytest.raises(RealityError):
-        worst_case(ZeroStrategy(), 5, depth_cap=4)
+    # the zero bettor's one state_key merges each level to one state
+    monkeypatch.setattr(reality, "STATE_BUDGET", 4)
+    assert worst_case(ZeroStrategy(), 4)[0] == 1
+    with pytest.raises(RealityError, match="over the state budget 4"):
+        worst_case(ZeroStrategy(), 5)
     with pytest.raises(RealityError):
         worst_case(ZeroStrategy(), 3, objective="median")
     with pytest.raises(RealityError):
         worst_case(OneSided(1), -1)
+
+
+def test_worst_case_state_budget_without_a_state_key(monkeypatch):
+    # SignForcing has no state_key, so its search expands 2**rounds - 1
+    # states and is refused before it starts (only that check names the
+    # tree's size) one level past the budget: at 2**6 depth 7, at the
+    # default 2**22 depth 23
+    with monkeypatch.context() as patch:
+        patch.setattr(reality, "STATE_BUDGET", 1 << 6)
+        assert worst_case(SignForcing(), 6) == (Fraction(1, 4), (-1, 1, 1, -1, 1, 1))
+        with pytest.raises(RealityError, match=r"all 2\*\*7 - 1 states"):
+            worst_case(SignForcing(), 7)
+    with pytest.raises(RealityError, match=r"all 2\*\*23 - 1 states"):
+        worst_case(SignForcing(), 23)
+
+
+def test_worst_case_too_deep_to_recurse_is_a_reality_error():
+    with pytest.raises(RealityError, match="depth 1200 is too deep to recurse"):
+        worst_case(ZeroStrategy(), 1200)
 
 
 @pytest.mark.parametrize("objective", ["final", "running_min"])
@@ -188,6 +211,9 @@ def test_parse_reality_kinds():
     assert isinstance(mm, Minimax)
     with pytest.raises(RealityError):
         parse_reality("minimax:depth=6")
+    with pytest.raises(RealityError, match="horizon 7 exceeds the minimax depth 6"):
+        parse_reality("minimax:depth=6", strategy_factory=ZeroStrategy, horizon=7)
+    assert parse_reality("minimax:depth=6", strategy_factory=ZeroStrategy, horizon=3).horizon == 3
     with pytest.raises(RealityError):
         parse_reality("oracle")
 

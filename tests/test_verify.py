@@ -2,18 +2,13 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import faircoin
 from faircoin import verify
 from faircoin.strategies import AdditiveContrarian, MultiplicativeContrarian, Strategy
 from faircoin.verify import (
@@ -125,6 +120,8 @@ def test_exhaustive_registry_and_caps():
         exhaustive(40, "summation-identity")
     with pytest.raises(VerifyError):
         exhaustive(0, "summation-identity")
+    with pytest.raises(VerifyError, match="depth must be >= 1"):
+        exhaustive(0, "additive-closed-form")
     for check in ("summation-identity", "log-lower-bound"):
         with pytest.raises(VerifyError, match="needs depth >= 2"):
             exhaustive(1, check)
@@ -145,15 +142,36 @@ def test_log_bound_refuses_c_outside_its_claim(c):
         log_bound_margin_curve(np.array([1, 1, 1]), float(c))
 
 
-def test_bad_env_caps_fail_at_use_not_at_import(monkeypatch):
-    env = dict(os.environ, FAIRCOIN_EXHAUSTIVE_CAP="abc",
-               PYTHONPATH=str(Path(faircoin.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", "import faircoin"], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    monkeypatch.setenv("FAIRCOIN_EXHAUSTIVE_CAP", "abc")
-    with pytest.raises(VerifyError, match="FAIRCOIN_EXHAUSTIVE_CAP"):
-        exhaustive(6, "summation-identity")
+def test_state_budget_bounds_every_walk(monkeypatch):
+    # a walk that cannot merge expands 2**depth - 1 states, so it is refused
+    # before it starts (only that check names the tree's size) one level
+    # past the budget: at 2**6 depth 7, at the default 2**22 depth 23
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "STATE_BUDGET", 1 << 6)
+        assert exhaustive(6, "summation-identity").passed
+        with pytest.raises(VerifyError, match=r"all 2\*\*7 - 1 states"):
+            exhaustive(7, "summation-identity")
+        # a merging walk is stopped by the count: depth 16 expands 136 states
+        patch.setattr(verify, "STATE_BUDGET", 135)
+        with pytest.raises(VerifyError, match="over the state budget 135"):
+            exhaustive(16, "additive-closed-form")
+        patch.setattr(verify, "STATE_BUDGET", 136)
+        assert exhaustive(16, "additive-closed-form").passed
+    for check in ("summation-identity", "log-lower-bound"):
+        with pytest.raises(VerifyError, match=r"all 2\*\*23 - 1 states"):
+            exhaustive(23, check)
+
+
+def test_walk_too_deep_to_recurse_is_a_verify_error():
+    # additive-closed-form at depth 1200 fits the budget (720,600 states) but
+    # not the interpreter's recursion limit
+    with pytest.raises(VerifyError, match="depth 1200 is too deep to recurse"):
+        exhaustive(1200, "additive-closed-form")
+
+
+def test_merging_walk_reaches_depth_256():
+    report = exhaustive(256, "additive-closed-form")
+    assert report.passed and report.paths_checked == 2**256
 
 
 ENGINE_CHECKS = [
