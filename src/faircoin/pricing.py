@@ -7,11 +7,11 @@ live strip: the states reachable from the root through unabsorbed states,
 with (|s| + 1)^2 <= n + l.  At round n the live sums form one parity class,
 s = -w_n, -w_n + 2, ..., w_n, so the strip is the list of half-widths w_n,
 found with one ``isqrt`` per level (``_strip_widths``).  Value tables are
-built by backward induction over the strip, absorption statistics by
-one forward sweep (``_absorption_sweep``), and the replication check by
-another that carries hedge wealths (``replicate_and_verify``).  All
-values are dyadic rationals, stored as integer numerators against a
-per-level power-of-two scale, so nothing is ever rounded.
+built by backward induction over the strip; absorption statistics and
+the replication check share one forward sweep of path counts
+(``_absorption_sweep``).  All values are dyadic rationals, stored as
+integer numerators against a per-level power-of-two scale, so nothing is
+ever rounded.
 
 Infinite-horizon upper prices are represented as brackets: the backward
 induction is run once with tail value 0 and once with tail value 1 at the
@@ -66,16 +66,18 @@ def _strip_widths(l: int, horizon: int) -> list[int]:
 
 
 def _absorption_sweep(l: int, horizon: int):
-    """Yield (new_neg, new_pos) for n = 1..horizon: how many of the 2**n
-    paths are first absorbed at round n below and above the strip."""
+    """Yield (counts, new_neg, new_pos) for n = 1..horizon: counts[i] paths
+    reach the live state (n - 1, 2i - w_{n-1}), indexed as the table levels
+    are, and new_neg and new_pos of the 2**n paths are first absorbed at
+    round n below and above the strip."""
     widths = _strip_widths(l, horizon)
-    counts = [1]  # paths to each live state, indexed by (s + w_n) // 2
+    counts = [1]
     for n in range(1, horizon + 1):
         if widths[n] > widths[n - 1]:  # every child is live
+            yield counts, 0, 0
             counts = [0, *counts, 0]
-            yield 0, 0
         else:  # the outermost states each lose one child
-            yield (counts[0], counts[-1]) if counts else (0, 0)
+            yield (counts, counts[0], counts[-1]) if counts else (counts, 0, 0)
         counts = [a + b for a, b in zip(counts, counts[1:])]
 
 
@@ -244,7 +246,7 @@ def bracket_series(l: int, horizon: int) -> list[PriceBracket]:
     out: list[PriceBracket] = []
     # the negative mass and 1 minus the positive mass, at scale 2**(n + 1)
     neg, upper = 0, 2
-    for n, (new_neg, new_pos) in enumerate(_absorption_sweep(l, horizon), start=1):
+    for n, (_, new_neg, new_pos) in enumerate(_absorption_sweep(l, horizon), start=1):
         neg = 2 * (neg + new_neg)
         upper = 2 * (upper - new_pos)
         out.append(PriceBracket(l, n, neg, upper))
@@ -283,68 +285,56 @@ def enumerate_absorption(l: int, k: int) -> AbsorptionCensus:
     """
     if k < 1:
         raise PricingError("census depth must be >= 1")
-    return AbsorptionCensus(l=l, k=k, a=tuple(neg for neg, _ in _absorption_sweep(l, k)))
+    return AbsorptionCensus(l=l, k=k, a=tuple(neg for _, neg, _ in _absorption_sweep(l, k)))
 
 
 def replicate_and_verify(l: int, horizon: int) -> dict:
-    """Constructively verify replication of the ticket to a horizon.
+    """Constructively verify exact replication of the ticket to a horizon.
 
-    One forward sweep over the live strip, level by level from the root,
-    carries two wealths per state (n, s): the delta hedge of the ``one``
-    table, started at the upper bracket root, and the path-bettor
-    portfolio, the delta hedge of the ``zero`` table started at the
-    census budget sum a_i * 2^-i.  Both stay nonnegative; at every absorbed
-    child the hedge dominates the payoff and the portfolio pays it exactly
-    (1 below, 0 above).  Two parents that reach one live child must bring
-    it the same wealth, so wealth is a function of (n, s) and these checks
-    cover all 2**horizon paths.  The portfolio is a fair-coin martingale
-    that starts at the census cost and pays exactly the absorbed-negative
-    mass, so staying nonnegative leaves it 0 wherever the walk is still
-    live at the horizon.  The counts are path counts, summed from the
-    sweep's path multiplicities.  Raises PricingError on any violation.
+    Two delta hedges are checked: that of the ``one`` table, started at the
+    upper bracket root, and the path-bettor portfolio, the hedge of the
+    ``zero`` table started at the census budget sum a_i * 2^-i.  At every
+    live state (n, s) of the census sweep, each hedge's value is
+    nonnegative and, after its ``delta_hedge_bet``, equals its table's
+    value at both children, so its wealth is the table's value at every
+    state any path reaches.  Absorbed children carry the payoff (1 below,
+    0 above), and where the walk is still live at the horizon the hedge
+    holds 1 and the portfolio 0.  These checks cover all 2**horizon paths;
+    the counts are path counts, summed from the sweep's multiplicities.
+    Raises PricingError on any violation.
     """
     one = eta_table(l, horizon, "one")
     zero = eta_table(l, horizon, "zero")
-    census = enumerate_absorption(l, horizon)
-    if zero.root_value != census.budget_sum:
-        raise PricingError("portfolio cost disagrees with absorption census")
-    hedge_states = 1
+    for table, end in ((one, 2), (zero, 0)):  # 1 and 0 at the horizon's scale 2**1
+        if any(v != end for v in table._levels[horizon]):
+            raise PricingError(f"{table.tail_value}-tail hedge ends off its payoff "
+                               f"at the horizon {horizon}")
+    a = []
+    live = hedge_states = 1  # live paths at round n, and at rounds 0..n
     absorbed = 0
     portfolio_nodes = 3  # the root and its two children
-    level = {0: (1, one.root_value, zero.root_value)}  # s -> (paths, hedge, portfolio)
-    for n in range(horizon + 1):
-        nxt: dict[int, tuple[int, Fraction, Fraction]] = {}
-        for s, (paths, hedge, folio) in level.items():
-            if hedge < 0 or folio < 0:
-                raise PricingError(f"wealth negative at (n={n}, s={s}): "
-                                   f"hedge {hedge}, portfolio {folio}")
-            if n == horizon:
-                continue
-            if n and folio > 0:  # an absorbed-negative state lies below: both children count
+    for n, (counts, new_neg, new_pos) in enumerate(_absorption_sweep(l, horizon)):
+        w, bits = one._widths[n], horizon - n + 1
+        for i, paths in enumerate(counts):
+            s = 2 * i - w
+            for table in (one, zero):
+                v = table._levels[n][i]
+                if v < 0:
+                    raise PricingError(f"{table.tail_value}-tail hedge negative at (n={n}, s={s})")
+                bet = delta_hedge_bet(table, n, s)  # a dyadic: scale it to 2**bits
+                step = bet.numerator << (bits + 1 - bet.denominator.bit_length())
+                for x in (-1, 1):
+                    if v + step * x != 2 * table._child_numerator(n + 1, s + x):
+                        raise PricingError(f"{table.tail_value}-tail hedge misses its table "
+                                           f"at (n={n + 1}, s={s + x})")
+            if n and zero._levels[n][i]:  # an absorbed-negative state lies below
                 portfolio_nodes += 2 * paths
-            hedge_bet = delta_hedge_bet(one, n, s)
-            folio_bet = delta_hedge_bet(zero, n, s)
-            for x in (-1, 1):
-                c = s + x
-                wealth = (hedge + hedge_bet * x, folio + folio_bet * x)
-                if one.is_live(n + 1, c):
-                    seen = nxt.setdefault(c, (0, *wealth))
-                    if seen[1:] != wealth:
-                        raise PricingError(f"two paths reach (n={n + 1}, s={c}) "
-                                           f"with different wealth")
-                    nxt[c] = (seen[0] + paths, *wealth)
-                    continue
-                payoff = _absorbed_payoff(c)
-                if wealth[0] < payoff:
-                    raise PricingError(
-                        f"hedge fails to superreplicate at (n={n + 1}, s={c}): "
-                        f"wealth {wealth[0]} < payoff {payoff}")
-                if wealth[1] != payoff:
-                    raise PricingError(f"portfolio pays {wealth[1]} != {payoff} "
-                                       f"at absorbed state (n={n + 1}, s={c})")
-                absorbed += paths
-        hedge_states += sum(paths for paths, _, _ in nxt.values())
-        level = nxt
+        a.append(new_neg)
+        absorbed += new_neg + new_pos
+        live = 2 * live - new_neg - new_pos
+        hedge_states += live
+    if zero.root_value != AbsorptionCensus(l, horizon, tuple(a)).budget_sum:
+        raise PricingError("portfolio cost disagrees with absorption census")
 
     return {
         "l": l,
@@ -352,7 +342,7 @@ def replicate_and_verify(l: int, horizon: int) -> dict:
         "upper_start": one.root_value,
         "hedge_states_checked": hedge_states,
         "absorptions_checked": absorbed,
-        "portfolio_targets": sum(census.a),
+        "portfolio_targets": sum(a),
         "portfolio_cost": zero.root_value,
         "portfolio_nodes_checked": portfolio_nodes,
         "ok": True,

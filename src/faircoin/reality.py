@@ -99,10 +99,12 @@ def worst_case(strategy, rounds: int, objective: str = "final"):
     memo: dict = {}
     expanded = 0
 
+    # a path is a linked list of (move, rest) cells, None at its end, so a
+    # memo entry shares its child's cells instead of copying them
     def search(strat, left: int):
         nonlocal expanded
         if left == 0:
-            return strat.wealth, ()
+            return strat.wealth, None
         key = strat.state_key()
         if key is not None:
             hit = memo.get((left, key))
@@ -114,23 +116,26 @@ def worst_case(strategy, rounds: int, objective: str = "final"):
         expanded += 1
         if expanded > STATE_BUDGET:
             raise RealityError(f"minimax depth {rounds} is over the state budget {STATE_BUDGET}")
-        best = None
-        best_path = ()
+        best = best_path = None
         for x, nxt in zip((-1, 1), strat.children()):
             val, path = search(nxt, left - 1)
             if objective == "running_min":
                 val = min(val, nxt.wealth)
             if best is None or val < best:
-                best = val
-                best_path = (x,) + path
+                best, best_path = val, (x, path)
         if key is not None:
             memo[(left, key)] = (best, best_path)
         return best, best_path
 
     try:
-        return search(strategy, rounds)
+        value, cell = search(strategy, rounds)
     except RecursionError:
         raise RealityError(f"minimax depth {rounds} is too deep to recurse") from None
+    path = []
+    while cell is not None:
+        x, cell = cell
+        path.append(x)
+    return value, tuple(path)
 
 
 class Minimax(RealitySource):

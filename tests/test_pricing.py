@@ -1,5 +1,6 @@
 """Value tables, price brackets, absorption census, and replication."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -180,7 +181,7 @@ def test_bracket_series_matches_fractions_from_the_sweep():
     for l in range(10):
         series = bracket_series(l, 64)
         lower, upper = Fraction(0), Fraction(1)
-        for h, (new_neg, new_pos) in enumerate(pricing._absorption_sweep(l, 64), start=1):
+        for h, (_, new_neg, new_pos) in enumerate(pricing._absorption_sweep(l, 64), start=1):
             lower += Fraction(new_neg, 1 << h)
             upper -= Fraction(new_pos, 1 << h)
             b = series[h - 1]
@@ -332,13 +333,20 @@ def test_replicate_matches_the_path_walk(l):
         assert replicate_and_verify(l, h) == path_walk_replicate_and_verify(l, h), h
 
 
-# each bad numerator is caught first by the check named in ``match``
-@pytest.mark.parametrize("tail, n, s, match", [
-    ("one", 4, 0, "hedge fails to superreplicate"),
-    ("zero", 4, 0, "portfolio pays 255/256 != 1"),
-    ("one", 7, -1, "two paths reach"),
-    ("zero", 7, -1, "two paths reach"),
-])
+# each bad numerator is caught first by the check whose message is ``match``: the
+# down move from its lower parent misses it, or the horizon's tail is off
+BAD_TABLES = [
+    ("one", 4, 0, "one-tail hedge misses its table at (n=4, s=-2)"),
+    ("zero", 4, 0, "zero-tail hedge misses its table at (n=4, s=-2)"),
+    ("one", 7, -1, "one-tail hedge misses its table at (n=7, s=-3)"),
+    ("zero", 7, -1, "zero-tail hedge misses its table at (n=7, s=-3)"),
+    ("one", 0, 0, "one-tail hedge misses its table at (n=1, s=-1)"),
+    ("one", 10, 0, "one-tail hedge ends off its payoff at the horizon 10"),
+]
+
+
+@pytest.mark.parametrize("tail, n, s, match", BAD_TABLES,
+                         ids=[f"{tail}-{n}-{s}" for tail, n, s, _ in BAD_TABLES])
 def test_replication_catches_a_bad_table(monkeypatch, tail, n, s, match):
     l, h = 9, 10
     real = pricing.eta_table
@@ -352,7 +360,7 @@ def test_replication_catches_a_bad_table(monkeypatch, tail, n, s, match):
 
     assert replicate_and_verify(l, h)["ok"]
     monkeypatch.setattr(pricing, "eta_table", bad)
-    with pytest.raises(PricingError, match=match):
+    with pytest.raises(PricingError, match=re.escape(match)):
         replicate_and_verify(l, h)
 
 

@@ -145,6 +145,12 @@ def test_minimax_source_plays_worst_path():
         value, path = worst_case(make(), 7)
         assert 1 + trace.final_capital == value, spec
         assert trace.moves == path, spec
+    # a deep search: its path, flattened from the memo's shared cells, has
+    # every move, and replaying it reaches the value
+    value, path = worst_case(StoppedAdditive(Fraction(1, 2)), 100)
+    assert len(path) == 100
+    replay = run_game(StoppedAdditive(Fraction(1, 2)), FixedPath(path), 100)
+    assert 1 + replay.final_capital == value
 
 
 def test_minimax_searches_once_per_game(monkeypatch):
