@@ -296,21 +296,27 @@ def spec_value(name: str, text: str, convert, error: type[Exception]):
         raise error(f"bad value {text!r} for {name}") from None
 
 
-def spec_args(rest: str, error: type[Exception]):
+def spec_args(rest: str, error: type[Exception], *keys: str):
     """Read the ``key=value,...`` part of a strategy or reality spec.
 
-    Returns ``arg(key, convert=str, default=None)``, where no default
-    makes the key required.  A part without a value, a missing required
-    key and a bad literal all raise ``error``.
+    ``keys`` are the keys the spec's kind accepts.  Returns
+    ``arg(key, convert=str, default=None)``, where no default makes the
+    key required.  A part without a value, a key outside ``keys``, a
+    repeated key, a missing required key and a bad literal all raise
+    ``error``.
     """
     args = {}
     for part in rest.split(","):
         if not part:
             continue
         key, _, val = part.partition("=")
+        key = key.strip()
         if not val.strip():
             raise error(f"malformed spec argument {part!r}")
-        args[key.strip()] = val.strip()
+        if key in args or key not in keys:
+            raise error(f"{'repeated' if key in args else 'unknown'} spec argument {key!r}; "
+                        f"this kind takes: {', '.join(keys) or 'none'}")
+        args[key] = val.strip()
 
     def arg(key: str, convert=str, default=None):
         if key in args:

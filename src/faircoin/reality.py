@@ -178,15 +178,16 @@ def parse_reality(spec: str, strategy_factory=None, horizon: int | None = None) 
     if head == "fixed":
         return FixedPath(Situation.from_string(rest).moves)
     if head == "alt":
+        spec_args(rest, RealityError)
         return Alternating()
     if head == "iid":
-        return IIDCoin(spec_args(rest, RealityError)("seed", int))
+        return IIDCoin(spec_args(rest, RealityError, "seed")("seed", int))
     if head == "greedy":
-        return Greedy(tie=spec_args(rest, RealityError)("tie", int, -1))
+        return Greedy(tie=spec_args(rest, RealityError, "tie")("tie", int, -1))
     if head == "minimax":
         if strategy_factory is None:
             raise RealityError("minimax reality needs the strategy to re-simulate")
-        depth = spec_args(rest, RealityError)("depth", int)
+        depth = spec_args(rest, RealityError, "depth")("depth", int)
         if horizon is not None and horizon > depth:
             raise RealityError(f"horizon {horizon} exceeds the minimax depth {depth}")
         return Minimax(strategy_factory, depth if horizon is None else horizon)

@@ -11,6 +11,7 @@ strategies bet zero forever once their guard trips.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import pricing
 from .game import (ZERO, Situation, number, ratio, settle, spec_args, spec_value,
@@ -270,21 +271,14 @@ def truncated_q(depth: int = 20, exact: bool = True) -> Mixture:
     return Mixture(comps, tail_weight=Fraction(1, 1 << depth), exact=exact)
 
 
-class ExcursionOutcome:
-    """Record of one excursion seen by the sign-forcing bettor."""
+class ExcursionOutcome(NamedTuple):
+    """Record of one excursion the sign-forcing bettor saw end."""
 
-    __slots__ = ("w", "v", "side", "multiplier", "hedged")
-
-    def __init__(self, w, v, side, multiplier, hedged):
-        self.w = w
-        self.v = v
-        self.side = side            # +1 / -1 at absorption, None if unfinished
-        self.multiplier = multiplier
-        self.hedged = hedged        # True when the hedge ran to absorption
-
-    def __repr__(self):
-        return (f"ExcursionOutcome(w={self.w}, v={self.v}, side={self.side}, "
-                f"multiplier={self.multiplier}, hedged={self.hedged})")
+    w: int
+    v: int
+    side: int               # +1 / -1, the side of the boundary hit at v
+    multiplier: Fraction
+    hedged: bool            # True when the hedge ran to absorption
 
 
 class SignForcing(Strategy):
@@ -376,25 +370,27 @@ def parse_strategy(spec: str, exact: bool = True) -> Strategy:
     spec = spec.strip()
     head, _, rest = spec.partition(":")
     if head == "zero":
+        spec_args(rest, StrategyError)
         return ZeroStrategy(exact=exact)
     if head == "mulc":
-        return MultiplicativeContrarian(spec_args(rest, StrategyError)("c", Fraction),
+        return MultiplicativeContrarian(spec_args(rest, StrategyError, "c")("c", Fraction),
                                         exact=exact)
     if head == "addc":
-        return AdditiveContrarian(spec_args(rest, StrategyError)("eps", Fraction), exact=exact)
+        return AdditiveContrarian(spec_args(rest, StrategyError, "eps")("eps", Fraction),
+                                  exact=exact)
     if head == "stopadd":
-        return StoppedAdditive(spec_args(rest, StrategyError)("eps", Fraction), exact=exact)
+        return StoppedAdditive(spec_args(rest, StrategyError, "eps")("eps", Fraction), exact=exact)
     if head == "oneside":
-        arg = spec_args(rest, StrategyError)
+        arg = spec_args(rest, StrategyError, "N", "dir")
         return OneSided(arg("N", int), arg("dir", default="down"), exact=exact)
     if head == "pathbet":
-        arg = spec_args(rest, StrategyError)
+        arg = spec_args(rest, StrategyError, "target", "budget")
         target = Situation.from_string(arg("target")).moves
         return PathBettor(target, arg("budget", Fraction), exact=exact)
     if head == "signforce":
-        return SignForcing(hedge_cap=spec_args(rest, StrategyError)("cap", int, 1024))
+        return SignForcing(hedge_cap=spec_args(rest, StrategyError, "cap")("cap", int, 1024))
     if head == "q":
-        return truncated_q(spec_args(rest, StrategyError)("depth", int, 20), exact=exact)
+        return truncated_q(spec_args(rest, StrategyError, "depth")("depth", int, 20), exact=exact)
     if head == "mix":
         if not (rest.startswith("[") and rest.endswith("]")):
             raise StrategyError(f"mixture spec needs [...], got {spec!r}")

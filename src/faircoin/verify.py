@@ -3,9 +3,11 @@
 Every identity the strategies rely on is re-derived here along an
 arithmetic path independent of the strategy engine (direct products,
 direct sums, direct formulas), and the exhaustive sweeps run the engine
-and the oracle side by side over every move sequence up to a depth.  In
-exact mode any nonzero discrepancy is a bug; the only inexact check is
-the logarithmic capital lower bound, which uses floats with a
+and the oracle side by side over every move sequence up to a depth.  The
+summation identity and the log bound are each one per-round update,
+folded over a prefix by its oracle and stepped per child by its walk.
+In exact mode any nonzero discrepancy is a bug; the only inexact check
+is the logarithmic capital lower bound, which uses floats with a
 conservative slack margin because its slack is bounded away from zero.
 """
 
@@ -74,6 +76,20 @@ def product_capital(prefix, c) -> Fraction:
     return prod
 
 
+def _summation_round(node, n, x):
+    """The sums (s, LHS, sum (i/(i-1)) xbar_i^2, x_1^2 + sum x_i^2/(i-1))
+    after move x of round n + 1, and that round's RHS."""
+    s, lhs, a, b = node
+    lhs += Fraction(s, n or 1) * x
+    b += Fraction(x * x, n or 1)
+    s += x
+    n += 1
+    sq = Fraction(s, n) ** 2  # xbar_n^2
+    if n > 1:
+        a += Fraction(n, n - 1) * sq
+    return (s, lhs, a, b), a / 2 + Fraction(n, 2) * sq - b / 2
+
+
 def summation_identity_sides(prefix) -> tuple[Fraction, Fraction]:
     """Both sides of the partial-summation identity, computed directly.
 
@@ -82,22 +98,12 @@ def summation_identity_sides(prefix) -> tuple[Fraction, Fraction]:
           - (1/2)(x_1^2 + sum_{i=2}^n x_i^2 / (i-1)).
     """
     moves = moves_of(prefix)
-    n = len(moves)
-    if n < 2:
+    if len(moves) < 2:
         raise VerifyError("the summation identity needs length >= 2")
-    s = 0
-    lhs = Fraction(0)
-    a = Fraction(0)  # sum (i/(i-1)) xbar_i^2
-    b = Fraction(moves[0] ** 2)  # x_1^2 + sum x_i^2/(i-1)
-    for i, x in enumerate(moves, start=1):
-        if i >= 2:
-            lhs += Fraction(s, i - 1) * x
-        s += x
-        if i >= 2:
-            a += Fraction(i, i - 1) * Fraction(s, i) ** 2
-            b += Fraction(x * x, i - 1)
-    rhs = a / 2 + Fraction(n, 2) * Fraction(s, n) ** 2 - b / 2
-    return lhs, rhs
+    node = (0, Fraction(0), Fraction(0), Fraction(0))
+    for n, x in enumerate(moves):
+        node, rhs = _summation_round(node, n, x)
+    return node[1], rhs
 
 
 def _log_bound_c(c) -> float:
@@ -105,6 +111,22 @@ def _log_bound_c(c) -> float:
     if not 0 < cf <= Fraction(1, 2):
         raise VerifyError(f"the log bound is claimed only for 0 < c <= 1/2, got {c}")
     return float(cf)
+
+
+def _log_bound_round(node, n, x, c: float):
+    """The float sums (s, log K, sum (i/(i-1)) xbar_i^2, sum xbar_{i-1}^2)
+    after move x of round n + 1, and that round's margin log K - bound."""
+    s, log_k, a, b = node
+    xbar_prev = s / (n or 1)
+    log_k += math.log(1.0 - c * xbar_prev * x)
+    b += xbar_prev * xbar_prev
+    s += x
+    n += 1
+    sq = (s / n) ** 2  # xbar_n^2
+    if n > 1:
+        a += (n / (n - 1)) * sq
+    rhs = (c / 2) * (1 + math.log(n) - (a + 2 * c * b + n * sq))
+    return (s, log_k, a, b), log_k - rhs
 
 
 def log_capital_bound_margin(prefix, c) -> float:
@@ -116,58 +138,19 @@ def log_capital_bound_margin(prefix, c) -> float:
     """
     c = _log_bound_c(c)
     moves = moves_of(prefix)
-    n = len(moves)
-    if n < 2:
+    if len(moves) < 2:
         raise VerifyError("the log bound needs length >= 2")
-    s = 0
-    log_k = 0.0
-    a = 0.0  # sum (i/(i-1)) xbar_i^2
-    b = 0.0  # sum xbar_{i-1}^2
-    for i, x in enumerate(moves, start=1):
-        if i >= 2:
-            xbar_prev = s / (i - 1)
-            log_k += math.log(1.0 - c * xbar_prev * x)
-            b += xbar_prev * xbar_prev
-        s += x
-        if i >= 2:
-            a += (i / (i - 1)) * (s / i) ** 2
-    rhs = (c / 2) * (1 + math.log(n) - (a + 2 * c * b + n * (s / n) ** 2))
-    return log_k - rhs
+    node = (0, 0.0, 0.0, 0.0)
+    for n, x in enumerate(moves):
+        node, margin = _log_bound_round(node, n, x, c)
+    return margin
 
 
-def log_capital_lower_bound_check(prefix, c) -> IdentityReport:
-    margin = log_capital_bound_margin(prefix, c)
-    ok = margin >= -LOG_BOUND_SLACK
-    return IdentityReport("log-lower-bound", 1, 0.0 if ok else -margin,
-                          None if ok else moves_of(prefix))
-
-
-def additive_capital(prefix_or_n, s=None, eps=Fraction(2)) -> Fraction:
-    """The closed form (eps/2)(n - s_n^2), from (n, s) or a prefix."""
+def additive_capital(n, s, eps=Fraction(2)) -> Fraction:
+    """The closed form (eps/2)(n - s_n^2)."""
     if not isinstance(eps, Fraction):
         eps = Fraction(eps)
-    if s is None:
-        moves = moves_of(prefix_or_n)
-        n, s = len(moves), sum(moves)
-    else:
-        n = prefix_or_n
     return Fraction(eps.numerator * (n - s * s), 2 * eps.denominator)
-
-
-def additive_closed_form_check(prefix, eps) -> IdentityReport:
-    """Run the additive strategy over the prefix and compare to the formula."""
-    strat = AdditiveContrarian(eps)
-    worst = Fraction(0)
-    witness = None
-    moves = moves_of(prefix)
-    for x in moves:
-        strat.next_stake()
-        strat.observe(x)
-        disc = abs(strat.gain - additive_capital(strat.n, strat.s, eps))
-        if disc > worst:
-            worst = disc
-            witness = moves[: strat.n]
-    return IdentityReport("additive-closed-form", 1, worst, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +264,9 @@ def exhaustive_summation_check(depth: int) -> IdentityReport:
         raise VerifyError("the summation identity needs depth >= 2")
 
     def step(node, n):
-        s, lhs, a, b = node
-        xbar = Fraction(s, n) if n else Fraction(0)
-        n2 = n + 1
-        b2 = b + (Fraction(1, n) if n else Fraction(1))
         for x in _MOVES:
-            s2 = s + x
-            lhs2 = lhs + xbar * x
-            a2 = a + (Fraction(n2, n) * Fraction(s2, n2) ** 2 if n else Fraction(0))
-            rhs = a2 / 2 + Fraction(n2, 2) * Fraction(s2, n2) ** 2 - b2 / 2
-            yield (_mismatch(lhs2, rhs) if n else None), (s2, lhs2, a2, b2)
+            child, rhs = _summation_round(node, n, x)
+            yield (_mismatch(child[1], rhs) if n else None), child
 
     return _walk("summation-identity", depth,
                  (0, Fraction(0), Fraction(0), Fraction(0)), step)
@@ -303,17 +279,9 @@ def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK) ->
     cf = _log_bound_c(c)
 
     def step(node, n):
-        s, log_k, a, b = node
-        xbar_prev = s / n if n else 0.0
-        b2 = b + xbar_prev * xbar_prev
-        n2 = n + 1
         for x in _MOVES:
-            s2 = s + x
-            log_k2 = log_k + math.log(1.0 - cf * xbar_prev * x)
-            a2 = a + ((n2 / n) * (s2 / n2) ** 2 if n else 0.0)
-            rhs = (cf / 2) * (1 + math.log(n2) - (a2 + 2 * cf * b2 + n2 * (s2 / n2) ** 2))
-            failure = rhs - log_k2 if n and log_k2 - rhs < -slack else None
-            yield failure, (s2, log_k2, a2, b2)
+            child, margin = _log_bound_round(node, n, x, cf)
+            yield (-margin if n and margin < -slack else None), child
 
     return _walk("log-lower-bound", depth, (0, 0.0, 0.0, 0.0), step)
 
@@ -399,14 +367,6 @@ def mulc_capital_curve(moves: np.ndarray, c: float) -> np.ndarray:
     xbar = np.cumsum(x) / n
     xbar_prev = np.concatenate(([0.0], xbar[:-1]))
     return np.cumprod(1.0 - c * xbar_prev * x)
-
-
-def additive_capital_curve(moves: np.ndarray, eps: float) -> np.ndarray:
-    """Gain curve (eps/2)(n - s_n^2) of the unstopped additive bettor."""
-    x = np.asarray(moves, dtype=np.float64)
-    s = np.cumsum(x)
-    n = np.arange(1, len(x) + 1, dtype=np.float64)
-    return 0.5 * eps * (n - s * s)
 
 
 def log_bound_margin_curve(moves: np.ndarray, c: float) -> np.ndarray:

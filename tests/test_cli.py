@@ -336,6 +336,12 @@ def _simulate(strategy="zero", reality="alt"):
     ["verify", "--check", "summation-identity", "--depth", "23"],
     ["verify", "--check", "additive-closed-form", "--depth", "1200"],
     _simulate() + ["--output", "/nonexistent/dir/x.csv"],
+    # a key the spec's kind does not take, or a repeated key, is refused, not dropped
+    _simulate(strategy="oneside:N=1,direction=up"),
+    _simulate(strategy="q:dpeth=3"),
+    _simulate(strategy="zero:foo=1"),
+    _simulate(reality="alt:seed=3"),
+    _simulate(strategy="mulc:c=1/2,c=1/3"),
 ])
 def test_domain_error_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2
