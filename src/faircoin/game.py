@@ -32,7 +32,51 @@ class GameError(Exception):
 
 ZERO = Fraction(0)  # the stake of an idle round; Fractions are immutable, so one is shared
 
-STATE_BUDGET = 1 << 22  # the most states a game-tree walk (verify's, worst_case) may expand
+STATE_BUDGET = 1 << 22  # the most states one walk_tree call (verify's, worst_case's) may expand
+
+
+def walk_tree(root, depth: int, expand, key, error: type[Exception], what: str):
+    """Fold the game tree below ``root`` (round 0) down to round ``depth``.
+
+    ``expand(node, n)`` is a generator: it yields each child of the node at
+    round n that it folds, is sent back that child's value, and returns the
+    node's value.  Nodes of equal round and ``key(node)`` expand once; a None
+    key, or ``key=None``, never merges, and a root with no key is refused up
+    front when its 2**depth - 1 inner nodes are over STATE_BUDGET.  The walk
+    recurses one frame per round; the budget and the recursion limit raise
+    ``error``, naming ``what``.
+    """
+    memo: dict = {}
+    expanded = 0
+
+    def visit(node, n):
+        nonlocal expanded
+        k = None if key is None else key(node)
+        if k is not None:
+            k = (n, k)
+            hit = memo.get(k, memo)  # memo itself marks a miss: a value may be None
+            if hit is not memo:
+                return hit
+        elif n == 0 and depth >= (STATE_BUDGET + 1).bit_length():
+            raise error(f"{what} depth {depth} walks all 2**{depth} - 1 states, over budget")
+        expanded += 1
+        if expanded > STATE_BUDGET:
+            raise error(f"{what} depth {depth} is over the state budget {STATE_BUDGET}")
+        fold = expand(node, n)
+        try:
+            child = next(fold)
+            while True:
+                child = fold.send(visit(child, n + 1))
+        except StopIteration as done:
+            value = done.value
+        if k is not None:
+            memo[k] = value
+        return value
+
+    try:
+        return visit(root, 0)
+    except RecursionError:
+        raise error(f"{what} depth {depth} is too deep to recurse") from None
 
 
 def zero(exact: bool):
@@ -172,6 +216,8 @@ class GameTrace:
 
     def wealth(self, i: int):
         """Total wealth after round i (i=0 gives the initial capital)."""
+        if not 0 <= i <= len(self.rounds):
+            raise GameError(f"round {i} is outside 0..{len(self.rounds)}")
         if i == 0:
             return self.initial_capital
         return self.initial_capital + self.rounds[i - 1].capital
@@ -195,7 +241,7 @@ class GameTrace:
     @classmethod
     def read_csv(cls, f: IO[str], exact: bool = True) -> "GameTrace":
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, [])  # empty input reads as a blank header
         if tuple(header) != cls.CSV_COLUMNS:
             raise GameError(f"unexpected CSV header {header!r}")
         trace = cls(initial_capital=number(1, exact), exact=exact)

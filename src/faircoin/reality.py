@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .game import STATE_BUDGET, Situation, spec_args
+from .game import Situation, spec_args, walk_tree
 
 
 class RealityError(Exception):
@@ -87,50 +87,30 @@ def worst_case(strategy, rounds: int, objective: str = "final"):
     Returns (value, path) minimizing Skeptic's final wealth
     (objective="final") or the running minimum of wealth over the play-out
     (objective="running_min").  The strategy instance is not mutated.
-    Search is memoized on the strategy's state_key when it provides one;
-    ties prefer the -1 move.  It raises RealityError when its memo misses
-    pass STATE_BUDGET or ``rounds`` the recursion limit, and at once when a
-    strategy without a state_key would expand 2**rounds - 1 > STATE_BUDGET.
+    The search is a ``walk_tree`` fold keyed on the strategy's state_key;
+    ties prefer the -1 move.
     """
     if rounds < 0:
         raise RealityError(f"minimax depth must be >= 0, got {rounds}")
     if objective not in ("final", "running_min"):
         raise RealityError(f"unknown objective {objective!r}")
-    memo: dict = {}
-    expanded = 0
+    if rounds == 0:
+        return strategy.wealth, ()
 
     # a path is a linked list of (move, rest) cells, None at its end, so a
     # memo entry shares its child's cells instead of copying them
-    def search(strat, left: int):
-        nonlocal expanded
-        if left == 0:
-            return strat.wealth, None
-        key = strat.state_key()
-        if key is not None:
-            hit = memo.get((left, key))
-            if hit is not None:
-                return hit
-        elif left >= (STATE_BUDGET + 1).bit_length():  # met at the root first: no extra probe
-            raise RealityError(
-                f"minimax depth {rounds} walks all 2**{left} - 1 states, over budget")
-        expanded += 1
-        if expanded > STATE_BUDGET:
-            raise RealityError(f"minimax depth {rounds} is over the state budget {STATE_BUDGET}")
+    def expand(strat, n):
         best = best_path = None
         for x, nxt in zip((-1, 1), strat.children()):
-            val, path = search(nxt, left - 1)
+            val, path = (nxt.wealth, None) if n + 1 == rounds else (yield nxt)
             if objective == "running_min":
                 val = min(val, nxt.wealth)
             if best is None or val < best:
                 best, best_path = val, (x, path)
-        if key is not None:
-            memo[(left, key)] = (best, best_path)
         return best, best_path
 
-    try:
-        value, cell = search(strategy, rounds)
-    except RecursionError:
-        raise RealityError(f"minimax depth {rounds} is too deep to recurse") from None
+    value, cell = walk_tree(strategy, rounds, expand, lambda strat: strat.state_key(),
+                            RealityError, "minimax")
     path = []
     while cell is not None:
         x, cell = cell

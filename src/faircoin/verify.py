@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import STATE_BUDGET, fmt_number, moves_of
+from .game import fmt_number, moves_of, walk_tree
 from .strategies import (
     AdditiveContrarian,
     MultiplicativeContrarian,
@@ -174,7 +174,7 @@ def _snapshot(v):
 
 
 def _walk(identity: str, depth: int, root, step) -> IdentityReport:
-    """Check every move sequence up to ``depth``, depth first.
+    """Check every move sequence up to ``depth`` by a depth-first ``walk_tree``.
 
     ``step(node, n)`` yields one ``(failure, child)`` pair per move of
     _MOVES, in that order, for a node at round n; ``failure`` is None when
@@ -183,58 +183,30 @@ def _walk(identity: str, depth: int, root, step) -> IdentityReport:
     reached, a failing leaf included.
 
     A node that carries an engine has a future that is a function of its
-    complete state, so equal states at equal rounds are checked once: a
-    child whose snapshot matches a subtree already checked is credited
-    with that subtree's leaves and not walked again.  The walk ends at the
-    first failure, so a state it meets again belongs to a subtree that
-    passed, and the order, the counterexample and the counts are those of
-    the plain tree walk.  Nodes of the oracle-only walks carry
-    path-dependent sums, never merge, and are not keyed: such a walk
-    expands all 2**depth - 1 inner nodes, and is refused before it starts
-    when that is over STATE_BUDGET.  A walk raises VerifyError when its
-    ``rec`` calls pass the budget or its depth the recursion limit.
+    complete state, so it is keyed on its snapshot: a state met again at
+    the same round belongs to a subtree that passed, and the counterexample
+    and counts are those of the plain tree walk.  The oracle-only walks
+    carry path-dependent sums and are not keyed.
     """
     if depth < 1:
         raise VerifyError("exhaustive depth must be >= 1")
-    seen = set() if any(isinstance(v, Strategy) for v in root) else None
-    if seen is None and depth >= (STATE_BUDGET + 1).bit_length():
-        raise VerifyError(f"exhaustive depth {depth} walks all 2**{depth} - 1 states, over budget")
-    leaves = expanded = 0
     path = []  # the failing path, leaf move first, built as the walk unwinds
 
-    def rec(node, n):
-        nonlocal leaves, expanded
-        expanded += 1
-        if expanded > STATE_BUDGET:
-            raise VerifyError(f"exhaustive depth {depth} is over the state budget {STATE_BUDGET}")
-        if n + 1 == depth:  # the children are leaves: count and check them
-            for x, (failure, _) in zip(_MOVES, step(node, n)):
-                leaves += 1
-                if failure is not None:
-                    path.append(x)
-                    return failure
-            return None
+    def expand(node, n):
         for x, (failure, child) in zip(_MOVES, step(node, n)):
-            if failure is None:
-                if seen is not None:
-                    key = (n, _snapshot(child))
-                    if key in seen:
-                        leaves += 1 << (depth - n - 1)
-                        continue
-                    seen.add(key)
-                failure = rec(child, n + 1)
+            if failure is None and n + 1 < depth:
+                failure = yield child
             if failure is not None:
                 path.append(x)
                 return failure
-        return None
 
-    try:
-        failure = rec(root, 0)
-    except RecursionError:
-        raise VerifyError(f"exhaustive depth {depth} is too deep to recurse") from None
+    key = _snapshot if any(isinstance(v, Strategy) for v in root) else None
+    failure = walk_tree(root, depth, expand, key, VerifyError, "exhaustive")
     if failure is None:
-        return IdentityReport(identity, leaves, Fraction(0))
-    return IdentityReport(identity, leaves, failure, tuple(reversed(path)))
+        return IdentityReport(identity, 1 << depth, Fraction(0))
+    path.reverse()  # -1 is tried first, so each +1 on it skips a finished subtree
+    checked = sum(1 << (depth - i) for i, x in enumerate(path, start=1) if x == 1)
+    return IdentityReport(identity, checked + (len(path) == depth), failure, tuple(path))
 
 
 def _mismatch(got, want):

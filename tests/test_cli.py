@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from faircoin import game, reality, verify
+from faircoin import game
 from faircoin.cli import main
 from faircoin.game import GameTrace, fmt_number
 from faircoin.pricing import PriceBracket, eta_table
@@ -353,8 +353,7 @@ def test_domain_error_exits_2_with_one_line(capsys, argv):
 def test_minimax_over_the_state_budget_exits_2(capsys, monkeypatch):
     # mulc's state_key holds its path-dependent gain, so its minimax tree
     # hardly merges: depth 40 is stopped by the count, not by its depth
-    for module in (game, reality, verify):
-        monkeypatch.setattr(module, "STATE_BUDGET", 1 << 10)
+    monkeypatch.setattr(game, "STATE_BUDGET", 1 << 10)
     argv = ["simulate", "--strategy", "mulc:c=1/2", "--reality", "minimax:depth=40",
             "--horizon", "40"]
     assert main(argv) == 2

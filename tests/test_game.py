@@ -156,6 +156,9 @@ def test_wealth_indexing_and_min():
     assert t.wealth(1) == 1
     assert t.wealth(2) == 2
     assert t.min_wealth() == 1
+    for i in (-1, 3, -3):  # no wrap-around from the end
+        with pytest.raises(GameError, match=rf"round {i} is outside 0\.\.2"):
+            t.wealth(i)
 
 
 @pytest.mark.parametrize("value", [Fraction(3, 7), Fraction(-1, 2), Fraction(0), Fraction(5)])
@@ -290,8 +293,9 @@ def test_writers_match_csv_and_json_modules_at_the_edges():
 
 
 def test_csv_rejects_bad_header():
-    with pytest.raises(GameError):
-        GameTrace.read_csv(io.StringIO("a,b,c\n"))
+    for text in ("a,b,c\n", "\n", ""):
+        with pytest.raises(GameError, match="unexpected CSV header"):
+            GameTrace.read_csv(io.StringIO(text))
 
 
 HEADER = "n,x,M,K,s\n"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faircoin import reality
+from faircoin import game, reality
 from faircoin.game import Situation, run_game
 from faircoin.reality import (
     Alternating,
@@ -20,12 +20,14 @@ from faircoin.reality import (
     worst_case,
 )
 from faircoin.strategies import (
+    Mixture,
     MultiplicativeContrarian,
     OneSided,
     SignForcing,
     StoppedAdditive,
     ZeroStrategy,
     parse_strategy,
+    truncated_q,
 )
 
 moves_lists = st.lists(st.sampled_from([-1, 1]), max_size=20)
@@ -79,7 +81,7 @@ def test_worst_case_objectives_and_caps(monkeypatch):
     val_min, _ = worst_case(StoppedAdditive(Fraction(1, 2)), 8, objective="running_min")
     assert val_min <= val_final
     # the zero bettor's one state_key merges each level to one state
-    monkeypatch.setattr(reality, "STATE_BUDGET", 4)
+    monkeypatch.setattr(game, "STATE_BUDGET", 4)
     assert worst_case(ZeroStrategy(), 4)[0] == 1
     with pytest.raises(RealityError, match="over the state budget 4"):
         worst_case(ZeroStrategy(), 5)
@@ -95,7 +97,7 @@ def test_worst_case_state_budget_without_a_state_key(monkeypatch):
     # tree's size) one level past the budget: at 2**6 depth 7, at the
     # default 2**22 depth 23
     with monkeypatch.context() as patch:
-        patch.setattr(reality, "STATE_BUDGET", 1 << 6)
+        patch.setattr(game, "STATE_BUDGET", 1 << 6)
         assert worst_case(SignForcing(), 6) == (Fraction(1, 4), (-1, 1, 1, -1, 1, 1))
         with pytest.raises(RealityError, match=r"all 2\*\*7 - 1 states"):
             worst_case(SignForcing(), 7)
@@ -104,6 +106,9 @@ def test_worst_case_state_budget_without_a_state_key(monkeypatch):
 
 
 def test_worst_case_too_deep_to_recurse_is_a_reality_error():
+    # the walker recurses once per round, so a merging search reaches
+    # nearly as deep as the recursion limit (1,000 frames by default)
+    assert worst_case(ZeroStrategy(), 900) == (1, (-1,) * 900)
     with pytest.raises(RealityError, match="depth 1200 is too deep to recurse"):
         worst_case(ZeroStrategy(), 1200)
 
@@ -125,6 +130,52 @@ def test_worst_case_path_agrees_with_a_fresh_search_from_every_prefix(make, obje
     for k in range(rounds):
         assert worst_case(node, rounds - k, objective=objective)[1] == path[k:], k
         node = node.children()[path[k] == 1]
+
+
+def plain_minimax(strat, rounds, objective):
+    """The oracle: every node of the 2**rounds tree, no memo; ties prefer -1."""
+    if rounds == 0:
+        return strat.wealth, ()
+    best = None
+    for x, nxt in zip((-1, 1), strat.children()):
+        val, path = plain_minimax(nxt, rounds - 1, objective)
+        if objective == "running_min":
+            val = min(val, nxt.wealth)
+        if best is None or val < best[0]:
+            best = val, (x, *path)
+    return best
+
+
+MINIMAX_CASES = {
+    **{f"stopadd m={m}": lambda m=m: StoppedAdditive(Fraction(2, m)) for m in (1, 2, 4, 8)},
+    "oneside down": lambda: OneSided(2, "down"),
+    "oneside up": lambda: OneSided(3, "up"),
+    "stopadd float": lambda: StoppedAdditive(Fraction(1, 2), exact=False),
+    "oneside float": lambda: OneSided(3, "up", exact=False),
+    "mulc": lambda: parse_strategy("mulc:c=1/3"),
+    "addc": lambda: parse_strategy("addc:eps=1/3"),
+    "pathbet": lambda: parse_strategy("pathbet:target=+-+,budget=1/8"),
+    "zero": lambda: ZeroStrategy(),
+    "signforce": lambda: SignForcing(),
+    "q exact": lambda: truncated_q(3),
+    "q float": lambda: truncated_q(3, exact=False),
+    "float mix": lambda: parse_strategy("mix:[1/2@stopadd:eps=1/2;1/4@oneside:N=2;1/4]",
+                                        exact=False),
+    "exact mix, float parts": lambda: Mixture([
+        (Fraction(1, 2), StoppedAdditive(Fraction(1, 2), exact=False)),
+        (Fraction(1, 4), OneSided(2, "up", exact=False)),
+        (Fraction(1, 4), OneSided(1))]),
+}
+
+
+@pytest.mark.parametrize("make", MINIMAX_CASES.values(), ids=MINIMAX_CASES)
+def test_worst_case_memo_agrees_with_the_plain_minimax(make):
+    # the memo trusts each hand-written state_key to hold the whole state
+    for rounds in range(1, 10):
+        for objective in ("final", "running_min"):
+            value, path = worst_case(make(), rounds, objective=objective)
+            want, want_path = plain_minimax(make(), rounds, objective)
+            assert (type(value), value, path) == (type(want), want, want_path), (rounds, objective)
 
 
 def test_worst_case_does_not_mutate_strategy():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircoin import verify
+from faircoin import game, verify
 from faircoin.strategies import MultiplicativeContrarian, Strategy
 from faircoin.verify import (
     CHECKS,
@@ -143,15 +143,15 @@ def test_state_budget_bounds_every_walk(monkeypatch):
     # before it starts (only that check names the tree's size) one level
     # past the budget: at 2**6 depth 7, at the default 2**22 depth 23
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "STATE_BUDGET", 1 << 6)
+        patch.setattr(game, "STATE_BUDGET", 1 << 6)
         assert exhaustive(6, "summation-identity").passed
         with pytest.raises(VerifyError, match=r"all 2\*\*7 - 1 states"):
             exhaustive(7, "summation-identity")
         # a merging walk is stopped by the count: depth 16 expands 136 states
-        patch.setattr(verify, "STATE_BUDGET", 135)
+        patch.setattr(game, "STATE_BUDGET", 135)
         with pytest.raises(VerifyError, match="over the state budget 135"):
             exhaustive(16, "additive-closed-form")
-        patch.setattr(verify, "STATE_BUDGET", 136)
+        patch.setattr(game, "STATE_BUDGET", 136)
         assert exhaustive(16, "additive-closed-form").passed
     for check in ("summation-identity", "log-lower-bound"):
         with pytest.raises(VerifyError, match=r"all 2\*\*23 - 1 states"):
