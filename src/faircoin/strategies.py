@@ -10,6 +10,7 @@ strategies bet zero forever once their guard trips.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -24,33 +25,65 @@ class StrategyError(Exception):
 
 
 class Strategy:
-    """Base bettor: call next_stake() then observe() once per round."""
+    """Base bettor: call next_stake() then observe() once per round.
 
-    def __init__(self, initial_capital=Fraction(1), exact: bool = True):
+    The account is the gain ``_k`` plus the initial capital ``_w0``.  An
+    exact bettor whose stakes are integers over a ``den`` fixed at
+    construction keeps ``_k``, ``_w0`` and ``_stake()`` as integer
+    numerators over ``_den``; a Fraction is built only for a value handed
+    out.  Otherwise ``_den`` is None and they are numbers of the mode.
+    """
+
+    def __init__(self, initial_capital=Fraction(1), exact: bool = True, den: int | None = None):
         self.exact = exact
-        self.initial_capital = number(initial_capital, exact)
-        self.gain = zero(exact)
+        capital = number(initial_capital, exact)
+        self._den = den = math.lcm(den, capital.denominator) if exact and den is not None else None
+        self._w0 = capital if den is None else capital.numerator * (den // capital.denominator)
+        self._k = zero(exact) if den is None else 0
         self.n = 0
         self.s = 0
         self.stopped = False
         self._pending = None
 
+    def _value(self, num):
+        """An account number as the API hands it out: over _den, if any."""
+        den = self._den
+        if den is None:
+            return num
+        if not num:
+            return ZERO
+        return Fraction(num, den) if den != 1 else Fraction(num)  # the latter takes no gcd
+
+    @property
+    def initial_capital(self):
+        return self._value(self._w0)
+
+    @property
+    def gain(self):
+        return self._value(self._k)
+
     @property
     def wealth(self):
-        return self.initial_capital + self.gain
+        return self._value(self._w0 + self._k)
 
     def next_stake(self):
         if self._pending is not None:
             raise StrategyError("next_stake() called twice without observe()")
-        stake = zero(self.exact) if self.stopped else self._stake()
-        self._pending = stake
+        if self._den is None:
+            stake = zero(self.exact) if self.stopped else self._stake()
+            self._pending = stake
+            return stake
+        num = 0 if self.stopped else self._stake()
+        stake = self._value(num)
+        self._pending = num
         return stake
 
     def observe(self, x: int) -> None:
         if type(x) is not int or x not in (-1, 1):
             x = validate_move(x, StrategyError)
-        if self._pending is not None:  # else a spectator update: a zero stake
-            self.gain = settle(self.gain, self._pending, x)
+        stake = self._pending
+        if stake is not None:  # else a spectator update: a zero stake
+            self._k = settle(self._k, stake, x) if self._den is None else self._k + stake * x
             self._pending = None
         self.n += 1
         self.s += x
@@ -104,10 +137,10 @@ class MultiplicativeContrarian(Strategy):
         if self.n == 0:
             return zero(self.exact)
         xbar = ratio(self.s, self.n, self.exact)
-        return -self.c * xbar * self.wealth
+        return -self.c * xbar * (self._w0 + self._k)
 
     def state_key(self):
-        return ("mulc", self.c, self.n, self.s, self.gain)
+        return ("mulc", self.c, self.n, self.s, self._k)
 
 
 class AdditiveContrarian(Strategy):
@@ -117,14 +150,14 @@ class AdditiveContrarian(Strategy):
         eps = Fraction(eps)
         if eps <= 0:
             raise StrategyError(f"eps must be > 0, got {eps}")
-        super().__init__(Fraction(1), exact=exact)
-        self.eps = number(eps, exact)
+        super().__init__(Fraction(1), exact=exact, den=eps.denominator)
+        self._eps = eps.numerator if exact else float(eps)  # in account units
 
     def _stake(self):
-        return -self.eps * self.s
+        return -self._eps * self.s
 
     def state_key(self):
-        return ("addc", self.eps, self.s, self.gain)
+        return ("addc", self._eps, self.s, self._k)
 
 
 class StoppedAdditive(Strategy):
@@ -141,19 +174,19 @@ class StoppedAdditive(Strategy):
         m = Fraction(2) / eps if eps > 0 else Fraction(0)
         if m < 1 or m.denominator != 1:
             raise StrategyError(f"eps must be 2/m for a positive integer m, got {eps}")
-        super().__init__(Fraction(1), exact=exact)
+        super().__init__(Fraction(1), exact=exact, den=eps.denominator)
         self.m = int(m)
-        self.eps = number(eps, exact)
+        self._eps = eps.numerator if exact else float(eps)  # in account units
 
     def _stake(self):
         i = self.n + 1
         if (abs(self.s) + 1) ** 2 > i + self.m:
             self.stopped = True
-            return zero(self.exact)
-        return -self.eps * self.s
+            return 0 if self.exact else 0.0
+        return -self._eps * self.s
 
     def state_key(self):
-        return ("stopadd", self.m, self.s, self.stopped, self.gain)
+        return ("stopadd", self.m, self.s, self.stopped, self._k)
 
 
 class OneSided(Strategy):
@@ -168,10 +201,11 @@ class OneSided(Strategy):
             raise StrategyError(f"N must be a positive integer, got {N!r}")
         if direction not in ("down", "up"):
             raise StrategyError(f"direction must be 'down' or 'up', got {direction!r}")
-        super().__init__(Fraction(1), exact=exact)
+        super().__init__(Fraction(1), exact=exact, den=N)
         self.N = N
         self.direction = direction
-        self._unit = ratio(1 if direction == "down" else -1, N, exact)
+        sign = 1 if direction == "down" else -1
+        self._unit = sign if exact else sign / N  # in account units
 
     def _stake(self):
         return self._unit
@@ -184,7 +218,7 @@ class OneSided(Strategy):
                 self.stopped = True
 
     def state_key(self):
-        return ("oneside", self.N, self.direction, self.s, self.stopped, self.gain)
+        return ("oneside", self.N, self.direction, self.s, self.stopped, self._k)
 
 
 class PathBettor(Strategy):
@@ -202,16 +236,16 @@ class PathBettor(Strategy):
         for y in target:
             if y not in (-1, 1):
                 raise StrategyError(f"target moves must be +-1, got {y!r}")
-        super().__init__(budget, exact=exact)
+        super().__init__(budget, exact=exact, den=budget.denominator)
         self.target = target
 
     def _stake(self):
         if self.n >= len(self.target):
-            return zero(self.exact)
-        return self.target[self.n] * self.wealth
+            return 0 if self.exact else 0.0
+        return self.target[self.n] * (self._w0 + self._k)
 
     def state_key(self):
-        return ("pathbet", self.target, self.n, self.gain)
+        return ("pathbet", self.target, self.n, self._k)
 
 
 class Mixture(Strategy):
@@ -238,7 +272,16 @@ class Mixture(Strategy):
         self.tail_weight = number(tail_weight, exact)
 
     def _stake(self):
-        return sum((w * s.next_stake() for w, s in self.components), zero(self.exact))
+        if not self.exact:
+            return sum((w * s.next_stake() for w, s in self.components), 0.0)
+        stakes = [(w, s.next_stake()) for w, s in self.components]
+        if any(type(m) is not Fraction for _, m in stakes):
+            return sum((w * m for w, m in stakes), ZERO)
+        # the weighted sum over one common denominator, reduced once
+        dens = [w.denominator * m.denominator for w, m in stakes]
+        den = math.lcm(*dens)
+        return Fraction(sum(w.numerator * m.numerator * (den // d)
+                            for (w, m), d in zip(stakes, dens)), den)
 
     def _after(self, x: int) -> None:
         for _, s in self.components:
@@ -413,8 +456,11 @@ def parse_strategy(spec: str, exact: bool = True) -> Strategy:
 class ZeroStrategy(Strategy):
     """Never bets; useful as a mixture filler and in tests."""
 
+    def __init__(self, initial_capital=Fraction(1), exact: bool = True):
+        super().__init__(initial_capital, exact=exact, den=1)
+
     def _stake(self):
-        return zero(self.exact)
+        return 0 if self.exact else 0.0
 
     def state_key(self):
         return ("zero",)

@@ -342,17 +342,40 @@ def mulc_capital_curve(moves: np.ndarray, c: float) -> np.ndarray:
 
 
 def log_bound_margin_curve(moves: np.ndarray, c: float) -> np.ndarray:
-    """Margins log K_n - bound for n = 2..len(moves), vectorized."""
+    """Margins log K_n - bound for n = 2..len(moves), vectorized.
+
+    Computed in six buffers, in place, in the operation order of the
+    formula, so the margins are those of the plain array expression.
+    """
     c = _log_bound_c(c)
     x = np.asarray(moves, dtype=np.float64)
     n = np.arange(1, len(x) + 1, dtype=np.float64)
-    s = np.cumsum(x)
-    xbar = s / n
-    xbar_prev = np.concatenate(([0.0], xbar[:-1]))
-    log_k = np.cumsum(np.log(1.0 - c * xbar_prev * x))
-    a_terms = (n / np.maximum(n - 1, 1.0)) * xbar**2
-    a_terms[0] = 0.0
-    a = np.cumsum(a_terms)
-    b = np.cumsum(xbar_prev**2)
-    rhs = (c / 2) * (1.0 + np.log(n) - (a + 2 * c * b + n * xbar**2))
-    return (log_k - rhs)[1:]
+    xbar = np.cumsum(x)
+    np.divide(xbar, n, out=xbar)
+    b = np.empty_like(xbar)  # xbar_{i-1}, then sum of its squares
+    b[:1] = 0.0  # [:1], not [0]: an empty path gives no margins
+    b[1:] = xbar[:-1]
+    log_k = np.multiply(b, c)
+    np.multiply(log_k, x, out=log_k)
+    np.subtract(1.0, log_k, out=log_k)
+    np.log(log_k, out=log_k)
+    np.cumsum(log_k, out=log_k)
+    sq = np.square(xbar)
+    a = np.subtract(n, 1)  # then sum of (i/(i-1)) xbar_i^2
+    np.maximum(a, 1.0, out=a)
+    np.divide(n, a, out=a)
+    np.multiply(a, sq, out=a)
+    a[:1] = 0.0
+    np.cumsum(a, out=a)
+    np.square(b, out=b)
+    np.cumsum(b, out=b)
+    np.multiply(b, 2 * c, out=b)
+    np.add(a, b, out=a)
+    np.multiply(n, sq, out=sq)
+    np.add(a, sq, out=a)
+    rhs = np.log(n, out=n)
+    np.add(rhs, 1.0, out=rhs)
+    np.subtract(rhs, a, out=rhs)
+    np.multiply(rhs, c / 2, out=rhs)
+    np.subtract(log_k, rhs, out=log_k)
+    return log_k[1:]

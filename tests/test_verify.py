@@ -374,6 +374,34 @@ def test_log_margin_curve_matches_scalar_oracle():
         assert math.isclose(curve[n - 2], scalar, rel_tol=1e-10, abs_tol=1e-12)
 
 
+def _plain_margin_curve(moves, c):
+    """log_bound_margin_curve as one array expression per line."""
+    x = np.asarray(moves, dtype=np.float64)
+    n = np.arange(1, len(x) + 1, dtype=np.float64)
+    xbar = np.cumsum(x) / n
+    xbar_prev = np.concatenate(([0.0], xbar[:-1]))
+    log_k = np.cumsum(np.log(1.0 - c * xbar_prev * x))
+    a_terms = (n / np.maximum(n - 1, 1.0)) * xbar**2
+    a_terms[0] = 0.0
+    a = np.cumsum(a_terms)
+    b = np.cumsum(xbar_prev**2)
+    rhs = (c / 2) * (1.0 + np.log(n) - (a + 2 * c * b + n * xbar**2))
+    return (log_k - rhs)[1:]
+
+
+@pytest.mark.parametrize("c", [0.5, 0.25, 0.125])
+def test_log_margin_curve_is_the_plain_expression_bit_for_bit(c):
+    rng = np.random.default_rng(20260823)
+    for size in (2, 3, 17, 5000):
+        for dtype in (np.float64, np.int8):
+            moves = rng.choice(np.array([-1, 1], dtype=dtype), size=size)
+            given = moves.copy()
+            got = log_bound_margin_curve(moves, c)
+            assert got.tobytes() == _plain_margin_curve(moves, c).tobytes()
+            assert np.array_equal(moves, given)  # the input is not written to
+    assert log_bound_margin_curve([], c).shape == (0,)
+
+
 def test_checks_registry_complete():
     assert set(CHECKS) == {
         "product-capital", "summation-identity", "log-lower-bound",
