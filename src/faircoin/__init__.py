@@ -9,7 +9,6 @@ rational arithmetic.
 
 from .game import (
     GameTrace,
-    Situation,
     check_collateral,
     run_game,
 )

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import pricing, verify
-from .game import GameError, Situation, fmt_dyadic, run_game, spec_value
+from .game import GameError, fmt_dyadic, parse_moves, run_game, spec_value
 from .pricing import PricingError
 from .reality import FixedPath, RealityError, parse_reality
 from .stopping import event_report, excursions
@@ -149,7 +149,7 @@ def cmd_excursions(args) -> int:
     if (args.path is None) == (args.reality is None):
         raise RealityError("excursions needs exactly one of --path / --reality")
     if args.path is not None:
-        source = FixedPath(Situation.from_string(args.path).moves)
+        source = FixedPath(parse_moves(args.path))
         horizon = len(source.moves) if args.horizon is None else args.horizon
     elif args.horizon is None:
         raise RealityError("excursions --reality needs --horizon")

@@ -1,4 +1,4 @@
-"""Fair-coin betting protocol: situations, traces, and game execution.
+"""Fair-coin betting protocol: move strings, traces, and game execution.
 
 Each round Skeptic announces a stake, Reality answers with a move in
 {-1, +1}, and Skeptic's cumulative gain moves by stake * move.  Gains are
@@ -22,8 +22,8 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from typing import IO, NamedTuple
 
 
 class GameError(Exception):
@@ -43,40 +43,40 @@ def walk_tree(root, depth: int, expand, key, error: type[Exception], what: str):
     node's value.  Nodes of equal round and ``key(node)`` expand once; a None
     key, or ``key=None``, never merges, and a root with no key is refused up
     front when its 2**depth - 1 inner nodes are over STATE_BUDGET.  The walk
-    recurses one frame per round; the budget and the recursion limit raise
-    ``error``, naming ``what``.
+    is depth first and keeps its path on a list, so only the budget bounds
+    its depth; going over it raises ``error``, naming ``what``.
     """
     memo: dict = {}
     expanded = 0
-
-    def visit(node, n):
-        nonlocal expanded
+    path = []  # a (fold, memo key) frame for each node above the one visited
+    node = root
+    while True:
+        n = len(path)
         k = None if key is None else key(node)
         if k is not None:
             k = (n, k)
-            hit = memo.get(k, memo)  # memo itself marks a miss: a value may be None
-            if hit is not memo:
-                return hit
+            value = memo.get(k, memo)  # memo itself marks a miss: a value may be None
         elif n == 0 and depth >= (STATE_BUDGET + 1).bit_length():
             raise error(f"{what} depth {depth} walks all 2**{depth} - 1 states, over budget")
-        expanded += 1
-        if expanded > STATE_BUDGET:
-            raise error(f"{what} depth {depth} is over the state budget {STATE_BUDGET}")
-        fold = expand(node, n)
-        try:
-            child = next(fold)
-            while True:
-                child = fold.send(visit(child, n + 1))
-        except StopIteration as done:
-            value = done.value
-        if k is not None:
-            memo[k] = value
-        return value
-
-    try:
-        return visit(root, 0)
-    except RecursionError:
-        raise error(f"{what} depth {depth} is too deep to recurse") from None
+        if k is not None and value is not memo:
+            fold, k = path.pop()  # a hit is never the root: the memo starts empty
+        else:
+            expanded += 1
+            if expanded > STATE_BUDGET:
+                raise error(f"{what} depth {depth} is over the state budget {STATE_BUDGET}")
+            fold, value = expand(node, n), None
+        while True:  # send each value up until some fold yields its next child
+            try:
+                node = fold.send(value)
+                break
+            except StopIteration as done:
+                value = done.value
+            if k is not None:
+                memo[k] = value
+            if not path:
+                return value
+            fold, k = path.pop()
+        path.append((fold, k))
 
 
 def zero(exact: bool):
@@ -120,54 +120,21 @@ def settle(k, stake, x: int):
 
 
 def moves_of(prefix) -> tuple[int, ...]:
-    """Normalize a Situation or iterable of +-1 ints to a move tuple."""
-    if isinstance(prefix, Situation):
-        return prefix.moves
+    """Normalize an iterable of +-1 ints to a move tuple."""
     return tuple(validate_move(x) for x in prefix)
 
 
-@dataclass(frozen=True)
-class Situation:
-    """A finite sequence of moves: one node of the binary game tree."""
-
-    moves: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "moves", tuple(validate_move(x) for x in self.moves))
-
-    @classmethod
-    def from_string(cls, text: str) -> "Situation":
-        """Parse "+1-1+1" (or the shorthand "+-+") into a Situation."""
-        moves = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch not in "+-":
-                raise GameError(f"bad move string {text!r} at position {i}")
-            moves.append(1 if ch == "+" else -1)
-            i += 2 if text[i + 1 : i + 2] == "1" else 1
-        return cls(tuple(moves))
-
-    def __len__(self) -> int:
-        return len(self.moves)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.moves)
-
-    def __neg__(self) -> "Situation":
-        return Situation(tuple(-x for x in self.moves))
-
-    @property
-    def n(self) -> int:
-        return len(self.moves)
-
-    @cached_property
-    def s(self) -> int:
-        return sum(self.moves)
-
-    @property
-    def xbar(self) -> Fraction:
-        return Fraction(self.s, self.n) if self.moves else Fraction(0)
+def parse_moves(text: str) -> tuple[int, ...]:
+    """Parse "+1-1+1" (or the shorthand "+-+") into a move tuple."""
+    moves = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch not in "+-":
+            raise GameError(f"bad move string {text!r} at position {i}")
+        moves.append(1 if ch == "+" else -1)
+        i += 2 if text[i + 1 : i + 2] == "1" else 1
+    return tuple(moves)
 
 
 class Round(NamedTuple):

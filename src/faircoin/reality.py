@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .game import Situation, spec_args, walk_tree
+from .game import parse_moves, spec_args, walk_tree
 
 
 class RealityError(Exception):
@@ -156,7 +156,7 @@ def parse_reality(spec: str, strategy_factory=None, horizon: int | None = None) 
     spec = spec.strip()
     head, _, rest = spec.partition(":")
     if head == "fixed":
-        return FixedPath(Situation.from_string(rest).moves)
+        return FixedPath(parse_moves(rest))
     if head == "alt":
         spec_args(rest, RealityError)
         return Alternating()

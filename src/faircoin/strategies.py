@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import pricing
-from .game import (ZERO, Situation, number, ratio, settle, spec_args, spec_value,
+from .game import (ZERO, number, parse_moves, ratio, settle, spec_args, spec_value,
                    validate_move, zero)
 from .stopping import boundary_exceeds
 
@@ -408,7 +408,7 @@ def parse_strategy(spec: str, exact: bool = True) -> Strategy:
                                       optional trailing bare tail weight
 
     Rationals parse as "num/den" or plain integers; move strings as in
-    ``Situation.from_string`` (e.g. "+1-1" or "+-").
+    ``game.parse_moves`` (e.g. "+1-1" or "+-").
     """
     spec = spec.strip()
     head, _, rest = spec.partition(":")
@@ -428,7 +428,7 @@ def parse_strategy(spec: str, exact: bool = True) -> Strategy:
         return OneSided(arg("N", int), arg("dir", default="down"), exact=exact)
     if head == "pathbet":
         arg = spec_args(rest, StrategyError, "target", "budget")
-        target = Situation.from_string(arg("target")).moves
+        target = parse_moves(arg("target"))
         return PathBettor(target, arg("budget", Fraction), exact=exact)
     if head == "signforce":
         return SignForcing(hedge_cap=spec_args(rest, StrategyError, "cap")("cap", int, 1024))

@@ -332,9 +332,8 @@ def _simulate(strategy="zero", reality="alt"):
     ["excursions", "--path", "+-", "--horizon", "5"],
     ["excursions", "--path", "+-", "--reality", "alt"],
     ["excursions", "--reality", "alt"],
-    # a walk over the state budget, or too deep to recurse
+    # a walk over the state budget
     ["verify", "--check", "summation-identity", "--depth", "23"],
-    ["verify", "--check", "additive-closed-form", "--depth", "1200"],
     _simulate() + ["--output", "/nonexistent/dir/x.csv"],
     # a key the spec's kind does not take, or a repeated key, is refused, not dropped
     _simulate(strategy="oneside:N=1,direction=up"),
@@ -361,6 +360,16 @@ def test_minimax_over_the_state_budget_exits_2(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "faircoin: minimax depth 40 is over the state budget 1024"]
+
+
+def test_minimax_runs_past_the_interpreter_recursion_limit(capsys):
+    # only the state budget bounds a walk; zero's tree merges to one state a round
+    code, out = run_cli(capsys, "simulate", "--strategy", "zero",
+                        "--reality", "minimax:depth=1500", "--horizon", "1500")
+    assert code == 0
+    rows, _ = trace_and_report(out)
+    trace = GameTrace.read_csv(io.StringIO("\n".join(rows)))
+    assert len(trace.rounds) == 1500
 
 
 def test_identical_configs_identical_output(capsys):

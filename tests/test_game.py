@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 from faircoin.game import (
     GameError,
     GameTrace,
-    Situation,
     check_collateral,
     fmt_dyadic,
     fmt_number,
     moves_of,
+    parse_moves,
     parse_number,
     run_game,
 )
@@ -68,42 +69,26 @@ def test_moves_are_the_ints_minus_one_and_one(move):
     with pytest.raises(GameError):
         GameTrace().play(Fraction(1), move)
     with pytest.raises(GameError):
-        Situation((move,))
-    with pytest.raises(GameError):
         moves_of([1, move])
 
 
 def test_integer_moves_of_other_types_become_ints():
     moves = np.array([1, -1, 1], dtype=np.int8)
-    for got in (moves_of(moves), Situation(moves).moves,
+    for got in (moves_of(moves),
                 GameTrace().play(Fraction(1), moves[0]).play(Fraction(1), moves[1]).moves):
         assert got == tuple(int(x) for x in moves[:len(got)])
         assert {type(x) for x in got} == {int}
 
 
-def test_process_values_examples():
-    pv = Situation((1, 1, -1))
-    assert (pv.n, pv.s, pv.xbar) == (3, 1, Fraction(1, 3))
-    pv = Situation()
-    assert (pv.n, pv.s, pv.xbar) == (0, 0, Fraction(0))
-    pv = Situation((-1, -1))
-    assert (pv.n, pv.s, pv.xbar) == (2, -2, Fraction(-1))
-
-
-@given(moves_lists, st.sampled_from([-1, 1]))
-def test_process_values_prefix_consistency(moves, x):
-    before = Situation(moves)
-    after = Situation(moves + [x])
-    assert after.s == before.s + x
-    assert after.n == before.n + 1
-
-
-def test_situation_parsing_and_negation():
-    assert Situation.from_string("+1-1+1").moves == (1, -1, 1)
-    assert Situation.from_string("+-+").moves == (1, -1, 1)
-    assert (-Situation((1, -1))).moves == (-1, 1)
-    with pytest.raises(GameError):
-        Situation.from_string("+x")
+def test_parse_moves():
+    assert parse_moves("+1-1+1") == (1, -1, 1)
+    assert parse_moves("+-+") == (1, -1, 1)
+    assert parse_moves("-1+") == (-1, 1)
+    assert parse_moves("") == ()
+    for text, at in (("+x", 1), ("1+", 0), ("+-1-x", 4)):
+        message = f"bad move string {text!r} at position {at}"
+        with pytest.raises(GameError, match=re.escape(message)):
+            parse_moves(text)
 
 
 def test_run_game_zero_strategy():

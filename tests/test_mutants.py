@@ -1,5 +1,5 @@
-"""Mutant table: each entry breaks the strategy engine in one way and names
-the check that must then fail.
+"""Mutant table: each entry breaks the strategy engine or a walker in one
+way and names the check that must then fail.
 
 A check that still passes under its mutant has stopped checking that part
 of the engine.  Each check is first run on the unmutated engine, so a
@@ -10,11 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from faircoin import strategies
+from faircoin import game, strategies, verify
 from faircoin.game import run_game
 from faircoin.reality import FixedPath, worst_case
-from faircoin.strategies import OneSided, StoppedAdditive, Strategy, truncated_q
-from faircoin.verify import exhaustive, product_capital
+from faircoin.strategies import (Mixture, OneSided, StoppedAdditive, Strategy, parse_strategy,
+                                 truncated_q)
+from faircoin.verify import VerifyError, exhaustive, product_capital
 from test_reality import plain_minimax
 
 # -- mutants: each takes a monkeypatch and breaks one thing ------------------
@@ -53,6 +54,15 @@ def mixture_denominator_too_small(patch):
     patch.setattr(strategies.math, "lcm", lambda *dens: max(dens, default=1))
 
 
+def snapshot_never_merges(patch):
+    patch.setattr(verify, "_snapshot", lambda v: None)
+
+
+def mixture_key_drops_a_component(patch):
+    patch.setattr(Mixture, "state_key",
+                  lambda self: ("mix", tuple(s.state_key() for _, s in self.components[1:])))
+
+
 # -- checks: each returns True when the engine passes it -----------------------
 
 
@@ -75,6 +85,24 @@ def worst_case_is_the_plain_minimax():
                for rounds in (7, 8))
 
 
+def mixture_worst_case_is_the_plain_minimax():
+    # the stopped component's account tells apart states its sibling shares
+    def make():
+        return parse_strategy("mix:[1/2@stopadd:eps=1/2;1/4@oneside:N=2;1/4]")
+    return all(worst_case(make(), rounds) == plain_minimax(make(), rounds, "final")
+               for rounds in (5, 6))
+
+
+def merging_walk_fits_136_states():
+    # additive-closed-form at depth 16 has 136 distinct states
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game, "STATE_BUDGET", 136)
+        try:
+            return exhaustive(16, "additive-closed-form").passed
+        except VerifyError:
+            return False
+
+
 def q_mixture_is_the_product_sum():
     moves = [1, 1, -1, 1, -1, -1, -1, 1, 1, -1]
     trace = run_game(truncated_q(4), FixedPath(moves), len(moves))
@@ -93,6 +121,8 @@ MUTANTS = [
     (gain_ignores_the_denominator, additive_closed_form),
     (gain_ignores_the_denominator, one_sided_capital),
     (mixture_denominator_too_small, q_mixture_is_the_product_sum),
+    (snapshot_never_merges, merging_walk_fits_136_states),
+    (mixture_key_drops_a_component, mixture_worst_case_is_the_plain_minimax),
 ]
 
 
