@@ -8,8 +8,8 @@ collateral (non-bankruptcy) checks stay explicit.
 Two numeric modes are supported: exact rational arithmetic (the default,
 used for all identity and pricing verification) and float64 for long
 simulations where exact denominators would blow up.  One ``exact: bool``
-flag chooses between them everywhere, and ``zero``, ``number`` and
-``ratio`` below are the one place that maps it to Fraction or float.
+flag chooses between them everywhere, and ``zero`` and ``number`` below
+are the one place that maps it to Fraction or float.
 """
 
 from __future__ import annotations
@@ -45,21 +45,30 @@ def walk_tree(root, depth: int, expand, key, error: type[Exception], what: str):
     front when its 2**depth - 1 inner nodes are over STATE_BUDGET.  The walk
     is depth first and keeps its path on a list, so only the budget bounds
     its depth; going over it raises ``error``, naming ``what``.
+
+    Each visit hashes its memo key once: ``setdefault`` enters a one-item
+    list, the node's cell, that holds ``pending`` until the node's fold
+    returns and its value after, so a value may be None.  ``pending`` is a
+    fresh object, not the memo, so a walk that raises leaves no reference
+    cycle to keep its memo alive.
     """
     memo: dict = {}
+    pending = object()
     expanded = 0
-    path = []  # a (fold, memo key) frame for each node above the one visited
+    path = []  # a (fold, memo cell) frame for each node above the one visited
     node = root
     while True:
         n = len(path)
         k = None if key is None else key(node)
-        if k is not None:
-            k = (n, k)
-            value = memo.get(k, memo)  # memo itself marks a miss: a value may be None
-        elif n == 0 and depth >= (STATE_BUDGET + 1).bit_length():
-            raise error(f"{what} depth {depth} walks all 2**{depth} - 1 states, over budget")
-        if k is not None and value is not memo:
-            fold, k = path.pop()  # a hit is never the root: the memo starts empty
+        if k is None:
+            cell, value = None, pending  # a miss, with no cell to fill
+            if n == 0 and depth >= (STATE_BUDGET + 1).bit_length():
+                raise error(f"{what} depth {depth} walks all 2**{depth} - 1 states, over budget")
+        else:
+            cell = memo.setdefault((n, k), [pending])
+            value = cell[0]
+        if value is not pending:
+            fold, cell = path.pop()  # a hit is never the root: the memo starts empty
         else:
             expanded += 1
             if expanded > STATE_BUDGET:
@@ -71,12 +80,12 @@ def walk_tree(root, depth: int, expand, key, error: type[Exception], what: str):
                 break
             except StopIteration as done:
                 value = done.value
-            if k is not None:
-                memo[k] = value
+            if cell is not None:
+                cell[0] = value
             if not path:
                 return value
-            fold, k = path.pop()
-        path.append((fold, k))
+            fold, cell = path.pop()
+        path.append((fold, cell))
 
 
 def zero(exact: bool):
@@ -89,11 +98,6 @@ def number(v, exact: bool):
     if exact:
         return Fraction(v)
     return float(v)
-
-
-def ratio(p: int, q: int, exact: bool):
-    """p / q in the number type of a numeric mode, without a division of Fractions."""
-    return Fraction(p, q) if exact else p / q
 
 
 def validate_move(x, error=GameError) -> int:
@@ -109,13 +113,15 @@ def validate_move(x, error=GameError) -> int:
 def settle(k, stake, x: int):
     """The account k after a round: k + stake * x.
 
-    An exact zero stake on an exact account returns k itself and does no
-    rational arithmetic, so idle rounds stay cheap.  Every other pairing
-    takes the sum, which keeps its number type: a float zero stake still
-    turns a Fraction account into a float.
+    The sign of x picks k + stake or k - stake, which skips a product:
+    a Fraction fewer, and in float64 the same bits, as multiplying by
+    +-1.0 is exact.  An exact zero stake on an exact account returns k
+    itself and does no rational arithmetic, so idle rounds stay cheap.
+    Every other pairing keeps the number type of the sum: a float zero
+    stake still turns a Fraction account into a float.
     """
     if stake or type(stake) is not Fraction or type(k) is not Fraction:
-        return k + stake * x
+        return k + stake if x == 1 else k - stake
     return k
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import pricing
-from .game import (ZERO, number, parse_moves, ratio, settle, spec_args, spec_value,
+from .game import (ZERO, number, parse_moves, settle, spec_args, spec_value,
                    validate_move, zero)
 from .stopping import boundary_exceeds
 
@@ -136,8 +136,10 @@ class MultiplicativeContrarian(Strategy):
     def _stake(self):
         if self.n == 0:
             return zero(self.exact)
-        xbar = ratio(self.s, self.n, self.exact)
-        return -self.c * xbar * (self._w0 + self._k)
+        if self.exact:  # -c * xbar as one Fraction
+            c = self.c
+            return Fraction(-c.numerator * self.s, c.denominator * self.n) * (self._w0 + self._k)
+        return -self.c * (self.s / self.n) * (self._w0 + self._k)
 
     def state_key(self):
         return ("mulc", self.c, self.n, self.s, self._k)

@@ -158,18 +158,24 @@ def additive_capital(n, s, eps=Fraction(2)) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _MOVES = (-1, 1)
+_NESTED = (Strategy, list, tuple)  # the values _snapshot copies part by part
 
 
 def _snapshot(v):
     """A hashable copy of v's complete state: a strategy as its type and
     every attribute but the announced stake, each name followed by its
     value in one flat tuple (a pair per attribute made the memo 1.7 times
-    larger), lists and tuples element by element, anything else as itself."""
+    larger), lists and tuples element by element, anything else as itself.
+
+    Attributes come in their insertion order, not sorted.  Names are kept,
+    so two states whose attributes were set in different orders can only
+    fail to merge; equal snapshots always hold equal states.
+    """
     if isinstance(v, Strategy):
-        return (type(v), *[part for name, x in sorted(vars(v).items()) if name != "_pending"
-                           for part in (name, _snapshot(x))])
+        return (type(v), *[part for name, x in vars(v).items() if name != "_pending"
+                           for part in (name, _snapshot(x) if isinstance(x, _NESTED) else x)])
     if isinstance(v, (list, tuple)):
-        return tuple(map(_snapshot, v))
+        return tuple([_snapshot(x) if isinstance(x, _NESTED) else x for x in v])
     return v
 
 
@@ -221,9 +227,9 @@ def exhaustive_product_check(c, depth: int) -> IdentityReport:
         strat, prod, s = node
         cxbar = c * Fraction(s, n) if n else Fraction(0)
         for x, child in zip(_MOVES, strat.children()):
-            factor = 1 - cxbar * x
+            factor = 1 - cxbar if x == 1 else 1 + cxbar
             prod2 = prod * factor
-            failure = Fraction(1) if factor <= 0 else _mismatch(child.wealth, prod2)
+            failure = Fraction(1) if factor.numerator <= 0 else _mismatch(child.wealth, prod2)
             yield failure, (child, prod2, s + x)
 
     return _walk("product-capital", depth,

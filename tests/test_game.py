@@ -1,9 +1,13 @@
 """Protocol engine: situations, traces, serialization, game execution."""
 
 import csv
+import gc
 import io
 import json
 import re
+import struct
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircoin import game
 from faircoin.game import (
     GameError,
     GameTrace,
@@ -21,6 +26,8 @@ from faircoin.game import (
     parse_moves,
     parse_number,
     run_game,
+    settle,
+    walk_tree,
 )
 from faircoin.reality import Alternating, FixedPath
 from faircoin.strategies import (
@@ -373,3 +380,119 @@ def test_float64_overflow_detection():
     trace.play(1e308, 1)
     with pytest.raises(GameError):
         trace.play(1e308, 1)
+
+
+# -- settle: the sign of x picks the sum or the difference ---------------------
+
+# floats cover +-0.0, +-inf and subnormals; NaN inputs are left out, as their
+# payloads are the platform's.  Ints and Fractions stay inside float range, so
+# a float sum of mixed types cannot overflow the conversion.
+_accounts = st.one_of(st.floats(allow_nan=False), st.integers(-1 << 64, 1 << 64),
+                      st.fractions(min_value=-1 << 64, max_value=1 << 64, max_denominator=1 << 64))
+
+
+@given(_accounts, _accounts, st.sampled_from([-1, 1]))
+def test_settle_is_k_plus_stake_times_x_bit_for_bit(k, stake, x):
+    got, want = settle(k, stake, x), k + stake * x
+    assert type(got) is type(want)
+    if type(want) is float:
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("k, stake, x", [(0.0, 0.0, -1), (-0.0, 0.0, -1), (-0.0, -0.0, 1),
+                                         (-0.0, 0.0, 1), (float("inf"), float("inf"), -1),
+                                         (5e-324, 5e-324, -1), (1.0, 5e-324, 1)])
+def test_settle_keeps_the_bits_at_the_float_edges(k, stake, x):
+    assert struct.pack("<d", settle(k, stake, x)) == struct.pack("<d", k + stake * x)
+
+
+# -- walk_tree: the memoised depth-first fold ----------------------------------
+
+def _count_walk(depth, key):
+    """walk_tree over the +-1 walk from 0: a node is its position, and its
+    value the number of full-length paths below it.  Returns the value and
+    a Counter of the (round, position) pairs expanded."""
+    expanded = Counter()
+
+    def expand(s, n):
+        expanded[n, s] += 1
+        total = 0
+        for x in (-1, 1):
+            total += 1 if n + 1 == depth else (yield s + x)
+        return total
+
+    return walk_tree(0, depth, expand, key, GameError, "toy"), expanded
+
+
+def test_walk_tree_expands_each_round_and_key_once():
+    value, expanded = _count_walk(12, lambda s: s)
+    assert value == 1 << 12  # a hit hands back the value its first visit folded
+    assert set(expanded) == {(n, s) for n in range(12) for s in range(-n, n + 1, 2)}
+    assert set(expanded.values()) == {1}
+
+
+def test_walk_tree_memoises_a_none_value():
+    expanded = Counter()
+    sent = []
+
+    def expand(s, n):
+        expanded[n, s] += 1
+        for x in (-1, 1):
+            if n + 1 < 10:
+                sent.append((yield s + x))
+        return None
+
+    assert walk_tree(0, 10, expand, lambda s: s, GameError, "toy") is None
+    assert set(expanded.values()) == {1} and len(expanded) == sum(range(1, 11))
+    # every inner child is sent back, hits included, and each is None
+    assert len(sent) == 2 * sum(range(1, 10)) and set(sent) == {None}
+
+
+@pytest.mark.parametrize("key", [None, lambda s: None], ids=["key=None", "None key"])
+def test_walk_tree_without_a_key_never_merges(key):
+    value, expanded = _count_walk(10, key)
+    assert value == 1 << 10
+    assert sum(expanded.values()) == (1 << 10) - 1
+
+
+def test_walk_tree_refuses_a_keyless_root_over_budget_up_front(monkeypatch):
+    monkeypatch.setattr(game, "STATE_BUDGET", 7)
+    assert _count_walk(3, None)[0] == 8  # 7 inner nodes fit
+    expanded = Counter()
+
+    def expand(s, n):
+        expanded[n, s] += 1
+        yield s
+
+    with pytest.raises(GameError, match=r"toy depth 4 walks all 2\*\*4 - 1 states, over budget"):
+        walk_tree(0, 4, expand, None, GameError, "toy")
+    assert not expanded  # refused before the root was expanded
+    # a keyed walk of that depth merges to 10 states: it is not refused up
+    # front, only when it expands an eighth
+    with pytest.raises(GameError, match="toy depth 4 is over the state budget 7"):
+        _count_walk(4, lambda s: s)
+    monkeypatch.setattr(game, "STATE_BUDGET", 10)
+    assert _count_walk(4, lambda s: s)[0] == 16
+
+
+def test_walk_tree_that_raises_frees_its_memo_without_the_cycle_collector(monkeypatch):
+    class Key:  # hashed by identity; a weak reference shows when the memo lets go
+        pass
+
+    keys = []
+
+    def key(s):
+        k = Key()
+        keys.append(weakref.ref(k))
+        return k
+
+    monkeypatch.setattr(game, "STATE_BUDGET", 5)
+    gc.disable()
+    try:
+        with pytest.raises(GameError, match="over the state budget 5"):
+            _count_walk(8, key)
+        assert len(keys) == 6 and all(k() is None for k in keys)
+    finally:
+        gc.enable()

@@ -13,8 +13,8 @@ import pytest
 from faircoin import game, strategies, verify
 from faircoin.game import run_game
 from faircoin.reality import FixedPath, worst_case
-from faircoin.strategies import (Mixture, OneSided, StoppedAdditive, Strategy, parse_strategy,
-                                 truncated_q)
+from faircoin.strategies import (Mixture, MultiplicativeContrarian, OneSided, StoppedAdditive,
+                                 Strategy, parse_strategy, truncated_q)
 from faircoin.verify import VerifyError, exhaustive, product_capital
 from test_reality import plain_minimax
 
@@ -63,11 +63,33 @@ def mixture_key_drops_a_component(patch):
                   lambda self: ("mix", tuple(s.state_key() for _, s in self.components[1:])))
 
 
+def mulc_stake_swaps_c(patch):
+    stake = MultiplicativeContrarian._stake
+
+    def mutant(self):
+        if self.n == 0:
+            return stake(self)
+        c = self.c
+        return Fraction(-c.denominator * self.s, c.numerator * self.n) * (self._w0 + self._k)
+    patch.setattr(MultiplicativeContrarian, "_stake", mutant)
+
+
+def settle_ignores_the_sign(patch):
+    def mutant(k, stake, x):
+        return k + stake
+    patch.setattr(game, "settle", mutant)
+    patch.setattr(strategies, "settle", mutant)
+
+
 # -- checks: each returns True when the engine passes it -----------------------
 
 
 def additive_closed_form():
     return exhaustive(8, "additive-closed-form", eps=Fraction(2, 7)).passed
+
+
+def product_capital_walk():
+    return exhaustive(8, "product-capital", c=Fraction(1, 2)).passed
 
 
 def one_sided_capital():
@@ -123,6 +145,8 @@ MUTANTS = [
     (mixture_denominator_too_small, q_mixture_is_the_product_sum),
     (snapshot_never_merges, merging_walk_fits_136_states),
     (mixture_key_drops_a_component, mixture_worst_case_is_the_plain_minimax),
+    (mulc_stake_swaps_c, product_capital_walk),
+    (settle_ignores_the_sign, q_mixture_is_the_product_sum),
 ]
 
 

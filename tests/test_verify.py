@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircoin import game, verify
+from faircoin.reality import worst_case
 from faircoin.strategies import MultiplicativeContrarian, Strategy
 from faircoin.verify import (
     CHECKS,
@@ -314,7 +315,9 @@ def test_path_dependence_hidden_in_an_attribute_is_caught(monkeypatch, engine, c
     assert check(8).passed
 
 
-def test_equal_states_are_walked_once(monkeypatch):
+def _children_calls(monkeypatch, walk):
+    """walk()'s result and the number of Strategy.children calls it made:
+    one per engine node a walk expands."""
     calls = 0
     children = Strategy.children
 
@@ -324,10 +327,26 @@ def test_equal_states_are_walked_once(monkeypatch):
         return children(self)
 
     monkeypatch.setattr(Strategy, "children", counting)
-    report = exhaustive_additive_check(Fraction(2, 7), 16)
+    result = walk()
+    return result, calls
+
+
+def test_equal_states_are_walked_once(monkeypatch):
+    report, calls = _children_calls(monkeypatch,
+                                    lambda: exhaustive_additive_check(Fraction(2, 7), 16))
     assert report.passed and report.paths_checked == 1 << 16
     # one call per (n, s) with n < 16, not one per inner node (65,535)
     assert calls == sum(n + 1 for n in range(16)) == 136
+
+
+@pytest.mark.parametrize("walk, nodes", [
+    (lambda: exhaustive_product_check(Fraction(1, 2), 13), 3595),
+    (lambda: worst_case(MultiplicativeContrarian(Fraction(1, 2)), 12), 1897),
+], ids=["product-capital-13", "mulc-worst-case-12"])
+def test_mulc_walks_expand_a_pinned_number_of_nodes(monkeypatch, walk, nodes):
+    # mulc's gain tells apart most paths; the merges left (snapshot in the
+    # product walk, state_key in worst_case) must all still happen
+    assert _children_calls(monkeypatch, walk)[1] == nodes
 
 
 def test_failing_oracle_walk_stops_at_its_first_node():
