@@ -112,7 +112,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_price(args) -> int:
     if args.series:
-        sys.stdout.writelines(b.json_line() for b in pricing.bracket_series(args.l, args.horizon))
+        sys.stdout.writelines(pricing.series_json_lines(args.l, args.horizon))
     else:
         sys.stdout.write(pricing.upper_price_bracket(args.l, args.horizon).json_line())
     return 0

@@ -212,14 +212,17 @@ class PriceBracket:
     def __contains__(self, price) -> bool:
         return self.lower <= price <= self.upper
 
-    def json_line(self) -> str:
+    def json_line(self, values: str | None = None) -> str:
         """The bracket as one line of JSON, byte for byte what json.dumps
-        prints for it; its "num/den" strings need no escaping."""
+        prints for it; its "num/den" strings need no escaping.  ``values``,
+        if given, is the ``_json_values()`` text of an equal bracket."""
+        return f'{{"l": {self.l}, "horizon": {self.horizon}, {values or self._json_values()}}}\n'
+
+    def _json_values(self) -> str:
         bits = self.horizon + 1
-        return (f'{{"l": {self.l}, "horizon": {self.horizon}, '
-                f'"lower": "{fmt_dyadic(self.lower_num, bits)}", '
+        return (f'"lower": "{fmt_dyadic(self.lower_num, bits)}", '
                 f'"upper": "{fmt_dyadic(self.upper_num, bits)}", '
-                f'"live_mass": "{fmt_dyadic(self.upper_num - self.lower_num, bits)}"}}\n')
+                f'"live_mass": "{fmt_dyadic(self.upper_num - self.lower_num, bits)}"')
 
 
 def upper_price_bracket(l: int, horizon: int) -> PriceBracket:
@@ -251,6 +254,18 @@ def bracket_series(l: int, horizon: int) -> list[PriceBracket]:
         upper = 2 * (upper - new_pos)
         out.append(PriceBracket(l, n, neg, upper))
     return out
+
+
+def series_json_lines(l: int, horizon: int):
+    """The json_line() of each bracket of bracket_series(l, horizon).  A
+    round that absorbs nothing doubles both numerators and the scale, so
+    its bracket equals the one before and reuses that line's values."""
+    prev = None
+    for b in bracket_series(l, horizon):
+        if prev is None or b.lower_num != 2 * prev.lower_num or b.upper_num != 2 * prev.upper_num:
+            values = b._json_values()
+        yield b.json_line(values)
+        prev = b
 
 
 @dataclass(frozen=True)

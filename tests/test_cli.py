@@ -130,6 +130,21 @@ def test_price_and_census_output_pinned(capsys):
     assert h.hexdigest() == digest
 
 
+# SHA-256 of the series stdout of the benchmark's lattice jobs, recorded
+# when every line of a series formatted its own values
+SERIES_DIGESTS = {
+    (4, 4096): "454bb9ae172b7ae5b4c16a25e7a6ed32bdc4c5c9c883837fe67420094a88cdef",
+    (9, 2048): "7fa71fcb68ff0298eb46bce9dd95d59a33d611f3360f8e8923ad65bf25621435",
+}
+
+
+@pytest.mark.parametrize("l, horizon", sorted(SERIES_DIGESTS))
+def test_long_price_series_pinned(capsys, l, horizon):
+    code, out = run_cli(capsys, "price", "--l", str(l), "--horizon", str(horizon), "--series")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_DIGESTS[l, horizon]
+
+
 # SHA-256 of each simulate stdout (trace and event report), recorded when the
 # rows still went through csv.writer and json.dumps and the report kept a
 # Fraction max; minimax searches the whole game, so it plays 8 rounds

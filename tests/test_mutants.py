@@ -10,12 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from faircoin import game, strategies, verify
+from faircoin import game, pricing, strategies, verify
 from faircoin.game import run_game
 from faircoin.reality import FixedPath, worst_case
 from faircoin.strategies import (Mixture, MultiplicativeContrarian, OneSided, StoppedAdditive,
                                  Strategy, parse_strategy, truncated_q)
 from faircoin.verify import VerifyError, exhaustive, product_capital
+from test_pricing import series_lines_are_the_json_lines
 from test_reality import plain_minimax
 
 # -- mutants: each takes a monkeypatch and breaks one thing ------------------
@@ -79,6 +80,18 @@ def settle_ignores_the_sign(patch):
         return k + stake
     patch.setattr(game, "settle", mutant)
     patch.setattr(strategies, "settle", mutant)
+
+
+def series_reuses_values_on_even_horizons(patch):
+    def mutant(l, horizon):
+        prev = None
+        for b in pricing.bracket_series(l, horizon):
+            if prev is None or (b.horizon % 2 and (b.lower_num != 2 * prev.lower_num
+                                                   or b.upper_num != 2 * prev.upper_num)):
+                values = b._json_values()
+            yield b.json_line(values)
+            prev = b
+    patch.setattr(pricing, "series_json_lines", mutant)
 
 
 # -- checks: each returns True when the engine passes it -----------------------
@@ -147,6 +160,7 @@ MUTANTS = [
     (mixture_key_drops_a_component, mixture_worst_case_is_the_plain_minimax),
     (mulc_stake_swaps_c, product_capital_walk),
     (settle_ignores_the_sign, q_mixture_is_the_product_sum),
+    (series_reuses_values_on_even_horizons, series_lines_are_the_json_lines),
 ]
 
 

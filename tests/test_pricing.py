@@ -190,6 +190,18 @@ def test_bracket_series_matches_fractions_from_the_sweep():
             assert bracket_series(l, h) == series[:h]
 
 
+def series_lines_are_the_json_lines():
+    # the first line, rounds where lower is 0, and long runs that alternate
+    # between reused and absorbing lines
+    return all(list(pricing.series_json_lines(l, h))
+               == [b.json_line() for b in bracket_series(l, h)]
+               for l in range(16) for h in (1, 2, 3, 50, 700))
+
+
+def test_series_lines_are_the_json_lines():
+    assert series_lines_are_the_json_lines()
+
+
 def test_upper_bracket_roots_are_the_table_roots():
     for l in range(10):
         for h in range(1, 65):
