@@ -168,6 +168,8 @@ def parse_reality(spec: str, strategy_factory=None, horizon: int | None = None) 
         if strategy_factory is None:
             raise RealityError("minimax reality needs the strategy to re-simulate")
         depth = spec_args(rest, RealityError, "depth")("depth", int)
+        if depth < 0:
+            raise RealityError(f"minimax depth must be >= 0, got {depth}")
         if horizon is not None and horizon > depth:
             raise RealityError(f"horizon {horizon} exceeds the minimax depth {depth}")
         return Minimax(strategy_factory, depth if horizon is None else horizon)

@@ -56,19 +56,15 @@ def excursions(prefix) -> list[ExcursionPair]:
     moves = moves_of(prefix)
     schedule: list[ExcursionPair] = []
     s = 0
-    awaiting_w = True
-    w = None
+    w = None  # None while awaiting the next origin return
     for n, x in enumerate(moves, start=1):
         s += x
-        if awaiting_w:
+        if w is None:
             if s == 0:
                 w = n
-                awaiting_w = False
-        else:
-            if boundary_exceeds(n, s):
-                schedule.append(ExcursionPair(w=w, v=n))
-                awaiting_w = True
-                w = None
+        elif boundary_exceeds(n, s):
+            schedule.append(ExcursionPair(w=w, v=n))
+            w = None
     if w is not None:
         schedule.append(ExcursionPair(w=w, v=None))
     return schedule

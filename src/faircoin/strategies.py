@@ -32,6 +32,10 @@ class Strategy:
     construction keeps ``_k``, ``_w0`` and ``_stake()`` as integer
     numerators over ``_den``; a Fraction is built only for a value handed
     out.  Otherwise ``_den`` is None and they are numbers of the mode.
+
+    One stake path serves every account: ``next_stake()`` announces zero
+    while ``stopped`` is set, else ``_stake()``, and changes nothing but
+    ``_pending``.  Only ``__init__`` and ``_after`` set ``stopped``.
     """
 
     def __init__(self, initial_capital=Fraction(1), exact: bool = True, den: int | None = None):
@@ -69,12 +73,8 @@ class Strategy:
     def next_stake(self):
         if self._pending is not None:
             raise StrategyError("next_stake() called twice without observe()")
-        if self._den is None:
-            stake = zero(self.exact) if self.stopped else self._stake()
-            self._pending = stake
-            return stake
-        num = 0 if self.stopped else self._stake()
-        stake = self._value(num)
+        num = type(self._w0)() if self.stopped else self._stake()  # the account's zero
+        stake = num if self._den is None else self._value(num)
         self._pending = num
         return stake
 
@@ -83,7 +83,7 @@ class Strategy:
             x = validate_move(x, StrategyError)
         stake = self._pending
         if stake is not None:  # else a spectator update: a zero stake
-            self._k = settle(self._k, stake, x) if self._den is None else self._k + stake * x
+            self._k = settle(self._k, stake, x)
             self._pending = None
         self.n += 1
         self.s += x
@@ -104,7 +104,7 @@ class Strategy:
         """The two strategies one round on: (after -1, after +1).
 
         The stake is announced once, on a clone, so this strategy itself
-        is left untouched, stop flag included.
+        is left untouched.
         """
         down = self.clone()
         down.next_stake()
@@ -181,11 +181,12 @@ class StoppedAdditive(Strategy):
         self._eps = eps.numerator if exact else float(eps)  # in account units
 
     def _stake(self):
-        i = self.n + 1
-        if (abs(self.s) + 1) ** 2 > i + self.m:
-            self.stopped = True
-            return 0 if self.exact else 0.0
         return -self._eps * self.s
+
+    def _after(self, x: int) -> None:
+        # the guard of round i = n + 1 (see the class docstring)
+        if not self.stopped and (abs(self.s) + 1) ** 2 > self.n + 1 + self.m:
+            self.stopped = True
 
     def state_key(self):
         return ("stopadd", self.m, self.s, self.stopped, self._k)
@@ -213,11 +214,8 @@ class OneSided(Strategy):
         return self._unit
 
     def _after(self, x: int) -> None:
-        if not self.stopped:
-            if self.direction == "down" and self.s <= -self.N:
-                self.stopped = True
-            elif self.direction == "up" and self.s >= self.N:
-                self.stopped = True
+        if abs(self.s) >= self.N and self.s * self._unit < 0:  # N steps against the bet
+            self.stopped = True
 
     def state_key(self):
         return ("oneside", self.N, self.direction, self.s, self.stopped, self._k)
@@ -240,11 +238,13 @@ class PathBettor(Strategy):
                 raise StrategyError(f"target moves must be +-1, got {y!r}")
         super().__init__(budget, exact=exact, den=budget.denominator)
         self.target = target
+        self.stopped = not target
 
     def _stake(self):
-        if self.n >= len(self.target):
-            return 0 if self.exact else 0.0
         return self.target[self.n] * (self._w0 + self._k)
+
+    def _after(self, x: int) -> None:
+        self.stopped = self.n >= len(self.target)
 
     def state_key(self):
         return ("pathbet", self.target, self.n, self._k)
@@ -439,8 +439,7 @@ def parse_strategy(spec: str, exact: bool = True) -> Strategy:
     if head == "mix":
         if not (rest.startswith("[") and rest.endswith("]")):
             raise StrategyError(f"mixture spec needs [...], got {spec!r}")
-        comps = []
-        tail = Fraction(0)
+        comps, tails = [], []
         for part in rest[1:-1].split(";"):
             part = part.strip()
             if not part:
@@ -450,8 +449,10 @@ def parse_strategy(spec: str, exact: bool = True) -> Strategy:
                 comps.append((spec_value("a mixture weight", w, Fraction, StrategyError),
                               parse_strategy(sub, exact=exact)))
             else:
-                tail = spec_value("the mixture tail", part, Fraction, StrategyError)
-        return Mixture(comps, tail_weight=tail, exact=exact)
+                tails.append(spec_value("the mixture tail", part, Fraction, StrategyError))
+        if len(tails) > 1:
+            raise StrategyError(f"a mixture takes one tail weight, got {len(tails)} in {spec!r}")
+        return Mixture(comps, tail_weight=sum(tails), exact=exact)
     raise StrategyError(f"unknown strategy spec {spec!r}")
 
 
@@ -460,9 +461,7 @@ class ZeroStrategy(Strategy):
 
     def __init__(self, initial_capital=Fraction(1), exact: bool = True):
         super().__init__(initial_capital, exact=exact, den=1)
-
-    def _stake(self):
-        return 0 if self.exact else 0.0
+        self.stopped = True
 
     def state_key(self):
         return ("zero",)

@@ -162,10 +162,12 @@ _NESTED = (Strategy, list, tuple)  # the values _snapshot copies part by part
 
 
 def _snapshot(v):
-    """A hashable copy of v's complete state: a strategy as its type and
+    """A hashable copy of v's complete state.  v is a strategy, a list or
+    a tuple (a walk's node is a tuple): a strategy becomes its type and
     every attribute but the announced stake, each name followed by its
     value in one flat tuple (a pair per attribute made the memo 1.7 times
-    larger), lists and tuples element by element, anything else as itself.
+    larger); a list or tuple becomes a tuple of its elements, each of them
+    snapshotted if it is one of these kinds and kept as itself otherwise.
 
     Attributes come in their insertion order, not sorted.  Names are kept,
     so two states whose attributes were set in different orders can only
@@ -174,9 +176,7 @@ def _snapshot(v):
     if isinstance(v, Strategy):
         return (type(v), *[part for name, x in vars(v).items() if name != "_pending"
                            for part in (name, _snapshot(x) if isinstance(x, _NESTED) else x)])
-    if isinstance(v, (list, tuple)):
-        return tuple([_snapshot(x) if isinstance(x, _NESTED) else x for x in v])
-    return v
+    return tuple([_snapshot(x) if isinstance(x, _NESTED) else x for x in v])
 
 
 def _walk(identity: str, depth: int, root, step) -> IdentityReport:

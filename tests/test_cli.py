@@ -356,6 +356,17 @@ def _simulate(strategy="zero", reality="alt"):
     _simulate(strategy="zero:foo=1"),
     _simulate(reality="alt:seed=3"),
     _simulate(strategy="mulc:c=1/2,c=1/3"),
+    # a bad parameter, a malformed spec, a nonpositive budget, horizon 0
+    _simulate(strategy="q:depth=0"),
+    _simulate(strategy="signforce:cap=3"),
+    _simulate(strategy="mulc:c"),
+    _simulate(strategy="mix:1/2@zero"),
+    _simulate(strategy="mix:[3/2@zero;-1/2]"),
+    _simulate(strategy="pathbet:target=+,budget=0"),
+    ["price", "--l", "0", "--horizon", "0", "--series"],
+    # a second mixture tail, and a negative minimax depth, are refused
+    _simulate(strategy="mix:[1/2@zero;1/2;1/2]"),
+    ["simulate", "--strategy", "zero", "--reality", "minimax:depth=-1", "--horizon", "0"],
 ])
 def test_domain_error_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2

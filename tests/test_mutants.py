@@ -1,5 +1,5 @@
-"""Mutant table: each entry breaks the strategy engine or a walker in one
-way and names the check that must then fail.
+"""Mutant table: each entry breaks the strategy engine, a walker or a pricing
+check in one way and names the check that must then fail.
 
 A check that still passes under its mutant has stopped checking that part
 of the engine.  Each check is first run on the unmutated engine, so a
@@ -12,6 +12,7 @@ import pytest
 
 from faircoin import game, pricing, strategies, verify
 from faircoin.game import run_game
+from faircoin.pricing import replicate_and_verify
 from faircoin.reality import FixedPath, worst_case
 from faircoin.strategies import (Mixture, MultiplicativeContrarian, OneSided, StoppedAdditive,
                                  Strategy, parse_strategy, truncated_q)
@@ -94,6 +95,22 @@ def series_reuses_values_on_even_horizons(patch):
     patch.setattr(pricing, "series_json_lines", mutant)
 
 
+def one_tail_root_negated(patch):
+    real = pricing.eta_table
+
+    def mutant(l, horizon, tail_value="zero"):
+        table = real(l, horizon, tail_value)
+        if tail_value == "one":
+            table._levels[0][0] = -table._levels[0][0]
+        return table
+    patch.setattr(pricing, "eta_table", mutant)
+
+
+def census_budget_off_by_one_step(patch):
+    patch.setattr(pricing.AbsorptionCensus, "budget_sum",
+                  property(lambda self: Fraction(self.b_k + 1, 1 << self.k)))
+
+
 # -- checks: each returns True when the engine passes it -----------------------
 
 
@@ -146,6 +163,23 @@ def q_mixture_is_the_product_sum():
     return 1 + trace.final_capital == want
 
 
+def _replication_refusal():
+    """replicate_and_verify(9, 10)'s refusal, or "" when it passes."""
+    try:
+        replicate_and_verify(9, 10)
+    except pricing.PricingError as e:
+        return str(e)
+    return ""
+
+
+def replication_sees_no_negative_hedge():
+    return "hedge negative" not in _replication_refusal()
+
+
+def replication_cost_is_the_census_sum():
+    return "disagrees with absorption census" not in _replication_refusal()
+
+
 MUTANTS = [
     (denominator_off_by_one, additive_closed_form),
     (denominator_off_by_one, one_sided_capital),
@@ -161,6 +195,8 @@ MUTANTS = [
     (mulc_stake_swaps_c, product_capital_walk),
     (settle_ignores_the_sign, q_mixture_is_the_product_sum),
     (series_reuses_values_on_even_horizons, series_lines_are_the_json_lines),
+    (one_tail_root_negated, replication_sees_no_negative_hedge),
+    (census_budget_off_by_one_step, replication_cost_is_the_census_sum),
 ]
 
 

@@ -65,6 +65,17 @@ def test_child_value_rejects_impossible_states(n, s):
         eta_table(0, 5).child_value(n, s)
 
 
+def test_value_and_child_value_refuse_states_off_the_table():
+    # at l = 0 the strip is empty after the root: every path is absorbed at round 1
+    table = eta_table(0, 5)
+    with pytest.raises(PricingError, match=r"\(n=1, s=1\) is not live"):
+        table.value(1, 1)
+    with pytest.raises(PricingError, match="round 6 outside table horizon 5"):
+        table.child_value(6, 0)
+    with pytest.raises(PricingError, match=r"\(n=2, s=0\) unreachable"):
+        table.child_value(2, 0)
+
+
 def test_eta_martingale_recursion():
     table = eta_table(4, 8)
     for n in range(8):
@@ -165,6 +176,11 @@ def test_bracket_examples():
     for h in (1, 3, 8):
         b = upper_price_bracket(0, h)
         assert (b.lower, b.upper) == (Fraction(1, 2), Fraction(1, 2))
+
+
+def test_bracket_series_rejects_horizon_zero():
+    with pytest.raises(PricingError, match="horizon must be >= 1"):
+        bracket_series(0, 0)
 
 
 def test_bracket_series_matches_eta_roots():

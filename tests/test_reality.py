@@ -92,6 +92,20 @@ def test_worst_case_objectives_and_caps(monkeypatch):
         worst_case(OneSided(1), -1)
 
 
+def test_worst_case_at_depth_zero_is_the_wealth_now():
+    strat = OneSided(2)
+    strat.next_stake()
+    strat.observe(-1)
+    assert worst_case(strat, 0) == (strat.wealth, ()) == (Fraction(1, 2), ())
+
+
+def test_parse_reality_refuses_a_negative_minimax_depth():
+    # refused at parsing, before any horizon is compared or a move is asked for
+    for horizon in (None, 0):
+        with pytest.raises(RealityError, match=r"minimax depth must be >= 0, got -1$"):
+            parse_reality("minimax:depth=-1", ZeroStrategy, horizon)
+
+
 def test_worst_case_state_budget_without_a_state_key(monkeypatch):
     # SignForcing has no state_key, so its search expands 2**rounds - 1
     # states and is refused before it starts (only that check names the

@@ -24,7 +24,7 @@ from faircoin.strategies import (
     parse_strategy,
     truncated_q,
 )
-from faircoin.verify import additive_capital, product_capital
+from faircoin.verify import _snapshot, additive_capital, product_capital
 
 moves_lists = st.lists(st.sampled_from([-1, 1]), max_size=30)
 
@@ -330,6 +330,27 @@ def test_sign_forcing_wealth_compounds():
     assert strat.wealth == Fraction(9, 4)
 
 
+def test_sign_forcing_excursion_outlives_its_table():
+    # cap 8: the excursion from w = 4 gets a table to relative round 8 (n = 12),
+    # and alternating moves stay inside the boundary past it
+    strat = SignForcing(hedge_cap=8)
+    feed(strat, [1, 1, -1, -1] + [1, -1] * 4)
+    assert (strat.n, strat._w, strat._table, strat.excursion_log) == (12, 4, None, [])
+    assert strat.wealth == 1  # the half table is worth its root 1/2 at the horizon
+    stakes = feed(strat, [-1, -1, -1])  # carried without bets until the hit at n = 15
+    assert stakes == [0, 0, 0]
+    assert strat.excursion_log == [(4, 15, -1, Fraction(1), False)]
+
+
+def test_sign_forcing_table_stops_at_the_run_horizon():
+    strat = SignForcing(run_horizon=10)
+    feed(strat, [1, -1])  # w = 2: min(1024, 64, 10 - 2) = 8 >= 2 * 2 rounds
+    assert strat._table.horizon == 8
+    strat = SignForcing(run_horizon=10)
+    feed(strat, [1, 1, -1, -1])  # w = 4: 10 - 4 = 6 < 8, too late to attempt
+    assert (strat._w, strat._table, strat.next_stake()) == (4, None, 0)
+
+
 def test_sign_forcing_wealth_never_negative():
     strat = SignForcing(hedge_cap=64)
     for x in [1, -1, -1, 1, 1, 1, -1, -1, -1, -1, 1, 1]:
@@ -364,6 +385,13 @@ def test_parse_strategy_mixture():
 def test_parse_strategy_rejects_unknown():
     with pytest.raises(StrategyError):
         parse_strategy("martingale:doubling")
+
+
+def test_parse_strategy_refuses_a_second_tail():
+    # a second bare tail once replaced the first, so 1/2 + 1/2 + 1/2 passed as 1
+    with pytest.raises(StrategyError, match="one tail weight, got 2"):
+        parse_strategy("mix:[1/2@zero;1/2;1/2]")
+    assert parse_strategy("mix:[1/2@zero;;1/2]").tail_weight == Fraction(1, 2)
 
 
 def test_parsed_strategy_plays_identically():
@@ -549,3 +577,15 @@ def test_exact_flag_sets_every_number_type(spec, exact):
     assert type(trace.initial_capital) is want
     assert {type(r.stake) for r in trace.rounds} | {type(r.capital) for r in trace.rounds} \
         == {want}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("spec", SWITCH_SPECS)
+def test_next_stake_changes_nothing_but_the_pending_stake(spec, exact):
+    # a stop rule takes effect in observe(), so announcing a stake is no event
+    strategy = parse_strategy(spec, exact=exact)
+    for x in SWITCH_MOVES:
+        before = _snapshot((strategy,))
+        strategy.next_stake()
+        assert _snapshot((strategy,)) == before
+        strategy.observe(x)
