@@ -125,6 +125,20 @@ def settle(k, stake, x: int):
     return k
 
 
+def settle_product(w: Fraction, r: Fraction, x: int) -> Fraction:
+    """The exact wealth w after a round that staked r * w: w * (1 + r * x).
+
+    For r = n/d that is w * (d + n * x) / d, one product of w with a small
+    Fraction, so each gcd pairs a part of w with a small number, where
+    w + r * w * x would pair two numbers of w's size.  A zero r returns w
+    itself.
+    """
+    if not r:
+        return w
+    n, d = r.numerator, r.denominator
+    return w * Fraction(d + n if x == 1 else d - n, d)
+
+
 def moves_of(prefix) -> tuple[int, ...]:
     """Normalize an iterable of +-1 ints to a move tuple."""
     return tuple(validate_move(x) for x in prefix)
@@ -206,10 +220,17 @@ class GameTrace:
     CSV_COLUMNS = ("n", "x", "M", "K", "s")
 
     def write_csv(self, f: IO[str]) -> None:
-        """The rows csv.writer would write, CRLF ended; no field needs quoting."""
+        """The rows csv.writer would write, CRLF ended; no field needs quoting.
+        A stake or capital that is the previous row's object, as an idle
+        round's are, reuses that row's text."""
         f.write(",".join(self.CSV_COLUMNS) + "\r\n")
+        stake = capital = None
         for r in self.rounds:
-            f.write(f"{r.n},{r.x},{fmt_number(r.stake)},{fmt_number(r.capital)},{r.s}\r\n")
+            if r.stake is not stake:
+                stake, m = r.stake, fmt_number(r.stake)
+            if r.capital is not capital:
+                capital, k = r.capital, fmt_number(r.capital)
+            f.write(f"{r.n},{r.x},{m},{k},{r.s}\r\n")
 
     @classmethod
     def read_csv(cls, f: IO[str], exact: bool = True) -> "GameTrace":
@@ -223,10 +244,15 @@ class GameTrace:
         return trace
 
     def write_jsonl(self, f: IO[str]) -> None:
-        """The lines json.dumps would write: the number texts need no escaping."""
+        """The lines json.dumps would write: the number texts need no
+        escaping.  Repeated objects reuse their text, as in write_csv."""
+        stake = capital = None
         for r in self.rounds:
-            f.write(f'{{"n": {r.n}, "x": {r.x}, "M": "{fmt_number(r.stake)}", '
-                    f'"K": "{fmt_number(r.capital)}", "s": {r.s}}}\n')
+            if r.stake is not stake:
+                stake, m = r.stake, fmt_number(r.stake)
+            if r.capital is not capital:
+                capital, k = r.capital, fmt_number(r.capital)
+            f.write(f'{{"n": {r.n}, "x": {r.x}, "M": "{m}", "K": "{k}", "s": {r.s}}}\n')
 
     @classmethod
     def read_jsonl(cls, f: IO[str], exact: bool = True) -> "GameTrace":

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import pricing
-from .game import (ZERO, number, parse_moves, settle, spec_args, spec_value,
-                   validate_move, zero)
+from .game import (ZERO, number, parse_moves, settle, settle_product, spec_args,
+                   spec_value, validate_move, zero)
 from .stopping import boundary_exceeds
 
 
@@ -31,44 +31,59 @@ class Strategy:
     exact bettor whose stakes are integers over a ``den`` fixed at
     construction keeps ``_k``, ``_w0`` and ``_stake()`` as integer
     numerators over ``_den``; a Fraction is built only for a value handed
-    out.  Otherwise ``_den`` is None and they are numbers of the mode.
+    out.  An exact bettor built with ``product=True`` stakes a ratio of its
+    wealth and keeps the wealth itself in ``_k``, a running product, with
+    ``_den`` 0: ``_stake()`` returns the ratio r, ``next_stake()``
+    announces r times the wealth, and ``observe()`` settles through
+    ``game.settle_product``, bound as ``_settle`` when the bettor is
+    built.  Otherwise ``_den`` is None and they are numbers of the mode.
 
     One stake path serves every account: ``next_stake()`` announces zero
     while ``stopped`` is set, else ``_stake()``, and changes nothing but
     ``_pending``.  Only ``__init__`` and ``_after`` set ``stopped``.
     """
 
-    def __init__(self, initial_capital=Fraction(1), exact: bool = True, den: int | None = None):
+    def __init__(self, initial_capital=Fraction(1), exact: bool = True, den: int | None = None,
+                 product: bool = False):
+        product = exact and product
+        self._settle = settle_product if product else settle  # the account's update for one round
         self.exact = exact
-        capital = number(initial_capital, exact)
-        self._den = den = math.lcm(den, capital.denominator) if exact and den is not None else None
-        self._w0 = capital if den is None else capital.numerator * (den // capital.denominator)
-        self._k = zero(exact) if den is None else 0
+        self._w0 = capital = number(initial_capital, exact)
+        if product:
+            self._den, self._k = 0, capital
+        elif exact and den is not None:
+            self._den = den = math.lcm(den, capital.denominator)
+            self._w0, self._k = capital.numerator * (den // capital.denominator), 0
+        else:
+            self._den, self._k = None, zero(exact)
         self.n = 0
         self.s = 0
         self.stopped = False
         self._pending = None
 
     def _value(self, num):
-        """An account number as the API hands it out: over _den, if any."""
+        """An account number as the API hands it out: over _den, if any; a
+        product account's numbers are ratios of its wealth."""
         den = self._den
         if den is None:
             return num
         if not num:
             return ZERO
-        return Fraction(num, den) if den != 1 else Fraction(num)  # the latter takes no gcd
+        if den > 1:
+            return Fraction(num, den)
+        return Fraction(num) if den else num * self._k  # Fraction(num) takes no gcd
 
     @property
     def initial_capital(self):
-        return self._value(self._w0)
+        return self._value(self._w0) if self._den else self._w0
 
     @property
     def gain(self):
-        return self._value(self._k)
+        return self._k - self._w0 if self._den == 0 else self._value(self._k)
 
     @property
     def wealth(self):
-        return self._value(self._w0 + self._k)
+        return self._k if self._den == 0 else self._value(self._w0 + self._k)
 
     def next_stake(self):
         if self._pending is not None:
@@ -79,11 +94,12 @@ class Strategy:
         return stake
 
     def observe(self, x: int) -> None:
-        if type(x) is not int or x not in (-1, 1):
+        if type(x) is not int or (x != 1 and x != -1):  # two int compares, no tuple search
             x = validate_move(x, StrategyError)
         stake = self._pending
         if stake is not None:  # else a spectator update: a zero stake
-            self._k = settle(self._k, stake, x)
+            rule = self._settle  # read as an attribute: self._settle(...) is a slower lookup
+            self._k = rule(self._k, stake, x)
             self._pending = None
         self.n += 1
         self.s += x
@@ -123,22 +139,25 @@ class MultiplicativeContrarian(Strategy):
     """Bets -c * xbar_{n-1} * wealth; account starts at one unit.
 
     Wealth is the running product of (1 - c * xbar_{i-1} * x_i), which
-    stays strictly positive for 0 < c <= 1/2.
+    stays strictly positive for 0 < c <= 1/2.  In exact mode the account
+    is that product and the stake's ratio -c * xbar_{n-1} is one Fraction;
+    float64 keeps the operation order of -c * (s / n) * wealth and an
+    additive account.
     """
 
     def __init__(self, c, exact: bool = True):
         c = Fraction(c)
         if not 0 < c <= Fraction(1, 2):
             raise StrategyError(f"c must be in (0, 1/2], got {c}")
-        super().__init__(Fraction(1), exact=exact)
+        super().__init__(Fraction(1), exact=exact, product=True)
         self.c = number(c, exact)
 
     def _stake(self):
         if self.n == 0:
             return zero(self.exact)
-        if self.exact:  # -c * xbar as one Fraction
+        if self.exact:
             c = self.c
-            return Fraction(-c.numerator * self.s, c.denominator * self.n) * (self._w0 + self._k)
+            return Fraction(-c.numerator * self.s, c.denominator * self.n)
         return -self.c * (self.s / self.n) * (self._w0 + self._k)
 
     def state_key(self):
@@ -244,7 +263,8 @@ class PathBettor(Strategy):
         return self.target[self.n] * (self._w0 + self._k)
 
     def _after(self, x: int) -> None:
-        self.stopped = self.n >= len(self.target)
+        # past the target, or after a miss wiped the account
+        self.stopped = self.n >= len(self.target) or self._w0 + self._k == 0
 
     def state_key(self):
         return ("pathbet", self.target, self.n, self._k)

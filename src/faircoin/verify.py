@@ -220,16 +220,31 @@ def _mismatch(got, want):
 
 
 def exhaustive_product_check(c, depth: int) -> IdentityReport:
-    """Engine capital == direct product, every factor > 0, all paths."""
+    """Engine capital == direct product, every factor > 0, all paths.
+
+    At each node the engine's announced stake must also be the paper's
+    M_{n+1} = -c * xbar_n * K_n, with K_n the walk's own product; with the
+    wealth check this is the protocol's settlement K_{n+1} = K_n + M_{n+1}
+    * x_{n+1}, which the engine's running product does not compute.
+    """
     c = Fraction(c)
+    p, q = c.numerator, c.denominator
 
     def step(node, n):
         strat, prod, s = node
-        cxbar = c * Fraction(s, n) if n else Fraction(0)
+        ps, qn = p * s, q * (n or 1)  # c * xbar_n is ps / qn (s is 0 when n is)
+        m = strat.clone().next_stake()
+        # m == -(ps / qn) * prod, cross-multiplied
+        stake_ok = m.numerator * qn * prod.denominator == -ps * prod.numerator * m.denominator
         for x, child in zip(_MOVES, strat.children()):
-            factor = 1 - cxbar if x == 1 else 1 + cxbar
-            prod2 = prod * factor
-            failure = Fraction(1) if factor.numerator <= 0 else _mismatch(child.wealth, prod2)
+            top = qn - ps * x  # the factor 1 - c * xbar_n * x is top / qn
+            prod2 = prod * Fraction(top, qn)
+            if top <= 0:
+                failure = Fraction(1)
+            elif not stake_ok:
+                failure = abs(m + Fraction(ps, qn) * prod)
+            else:
+                failure = _mismatch(child.wealth, prod2)
             yield failure, (child, prod2, s + x)
 
     return _walk("product-capital", depth,

@@ -242,6 +242,20 @@ def test_simulate_output_pinned(capsys, spec, reality, mode, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_DIGESTS[spec, reality, mode, fmt]
 
 
+@pytest.mark.parametrize("mode, stakes", [
+    ("float64", ["1.0", "0.0", "0.0", "0.0", "0.0", "0.0"]),
+    ("exact", ["1/1", "0/1", "0/1", "0/1", "0/1", "0/1"]),
+])
+def test_pathbet_bets_unsigned_zeros_after_a_miss(capsys, mode, stakes):
+    # the miss at round 1 wipes the account; a float zero stake on a -1
+    # target move once came out as -0.0, a short bet of nothing
+    code, out = run_cli(capsys, "simulate", "--strategy", "pathbet:target=+-+-,budget=1",
+                        "--reality", "fixed:-+-+-+", "--horizon", "6", "--mode", mode)
+    assert code == 0
+    rows, _ = trace_and_report(out)
+    assert [row.split(",")[2] for row in rows[1:]] == stakes
+
+
 def test_verify_pass_and_exit_code(capsys):
     code, out = run_cli(capsys, "verify", "--check", "additive-closed-form",
                         "--depth", "10")

@@ -72,8 +72,22 @@ def mulc_stake_swaps_c(patch):
         if self.n == 0:
             return stake(self)
         c = self.c
-        return Fraction(-c.denominator * self.s, c.numerator * self.n) * (self._w0 + self._k)
+        return Fraction(-c.denominator * self.s, c.numerator * self.n)
     patch.setattr(MultiplicativeContrarian, "_stake", mutant)
+
+
+def product_factor_flips_the_move(patch):
+    settle_product = game.settle_product
+    patch.setattr(strategies, "settle_product", lambda w, r, x: settle_product(w, r, -x))
+
+
+def mulc_announces_the_negated_stake(patch):
+    next_stake = Strategy.next_stake
+
+    def mutant(self):
+        stake = next_stake(self)
+        return -stake if isinstance(self, MultiplicativeContrarian) else stake
+    patch.setattr(Strategy, "next_stake", mutant)
 
 
 def settle_ignores_the_sign(patch):
@@ -193,6 +207,8 @@ MUTANTS = [
     (snapshot_never_merges, merging_walk_fits_136_states),
     (mixture_key_drops_a_component, mixture_worst_case_is_the_plain_minimax),
     (mulc_stake_swaps_c, product_capital_walk),
+    (product_factor_flips_the_move, product_capital_walk),
+    (mulc_announces_the_negated_stake, product_capital_walk),
     (settle_ignores_the_sign, q_mixture_is_the_product_sum),
     (series_reuses_values_on_even_horizons, series_lines_are_the_json_lines),
     (one_tail_root_negated, replication_sees_no_negative_hedge),

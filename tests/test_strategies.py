@@ -76,6 +76,68 @@ def test_mulc_matches_product_and_stays_positive(moves, c):
     assert strat.wealth > 0
 
 
+PRODUCT_SPECS = ["mulc:c=1/2", "mulc:c=1/3", "mulc:c=1/8", "q:depth=5"]
+product_paths = st.lists(st.sampled_from([-1, 1]), max_size=64)
+
+
+def _direct_wealth(spec, moves):
+    """verify.product_capital of a mulc spec; for q, the weighted sum of its
+    components' products plus its idle tail."""
+    if spec.startswith("mulc"):
+        return product_capital(moves, Fraction(spec.partition("=")[2]))
+    return sum((Fraction(1, 1 << i) * product_capital(moves, Fraction(1, 1 << i))
+                for i in range(1, 6)), Fraction(1, 32))
+
+
+def _additive_float_mulc(c, moves):
+    """(stake, gain) per round of a float64 mulc as an additive account
+    computes them: the stake -c * (s / n) * (w0 + k), and k + stake or
+    k - stake by the sign of the move."""
+    w0, k, n, s, rows = 1.0, 0.0, 0, 0, []
+    for x in moves:
+        stake = 0.0 if n == 0 else -c * (s / n) * (w0 + k)
+        k = k + stake if x == 1 else k - stake
+        n, s = n + 1, s + x
+        rows.append((stake, k))
+    return rows
+
+
+def _additive_float_q(depth, moves):
+    comps = [(2.0 ** -i, _additive_float_mulc(2.0 ** -i, moves)) for i in range(1, depth + 1)]
+    k, rows = 0.0, []
+    for j, x in enumerate(moves):
+        stake = sum((w * c_rows[j][0] for w, c_rows in comps), 0.0)
+        k = k + stake if x == 1 else k - stake
+        rows.append((stake, k))
+    return rows
+
+
+@given(product_paths, st.sampled_from(PRODUCT_SPECS))
+@settings(deadline=None, max_examples=60)
+def test_exact_wealth_is_the_settled_stakes_and_the_direct_product(moves, spec):
+    strategy = parse_strategy(spec)
+    stakes = feed(strategy, moves)
+    settled = 1 + sum((m * x for m, x in zip(stakes, moves)), Fraction(0))
+    assert strategy.wealth == settled == _direct_wealth(spec, moves)
+    assert strategy.gain == settled - 1 and strategy.initial_capital == 1
+
+
+@given(product_paths, st.sampled_from(PRODUCT_SPECS))
+@settings(deadline=None, max_examples=60)
+def test_float_stakes_and_gains_are_those_of_an_additive_account(moves, spec):
+    strategy = parse_strategy(spec, exact=False)
+    rows = []
+    for x in moves:
+        stake = strategy.next_stake()
+        strategy.observe(x)
+        rows.append((stake.hex(), strategy.gain.hex()))
+    if spec.startswith("mulc"):
+        want = _additive_float_mulc(float(Fraction(spec.partition("=")[2])), moves)
+    else:
+        want = _additive_float_q(5, moves)
+    assert rows == [(m.hex(), k.hex()) for m, k in want]
+
+
 # -- additive contrarian ----------------------------------------------------
 
 def test_addc_hand_values():
