@@ -44,7 +44,8 @@ def walk_tree(root, depth: int, expand, key, error: type[Exception], what: str):
     key, or ``key=None``, never merges, and a root with no key is refused up
     front when its 2**depth - 1 inner nodes are over STATE_BUDGET.  The walk
     is depth first and keeps its path on a list, so only the budget bounds
-    its depth; going over it raises ``error``, naming ``what``.
+    its depth; going over it raises ``error``, naming ``what``.  Returns the
+    root's value, the number of nodes expanded and the number of memo hits.
 
     Each visit hashes its memo key once: ``setdefault`` enters a one-item
     list, the node's cell, that holds ``pending`` until the node's fold
@@ -54,7 +55,7 @@ def walk_tree(root, depth: int, expand, key, error: type[Exception], what: str):
     """
     memo: dict = {}
     pending = object()
-    expanded = 0
+    expanded = hits = 0
     path = []  # a (fold, memo cell) frame for each node above the one visited
     node = root
     while True:
@@ -68,6 +69,7 @@ def walk_tree(root, depth: int, expand, key, error: type[Exception], what: str):
             cell = memo.setdefault((n, k), [pending])
             value = cell[0]
         if value is not pending:
+            hits += 1
             fold, cell = path.pop()  # a hit is never the root: the memo starts empty
         else:
             expanded += 1
@@ -83,7 +85,7 @@ def walk_tree(root, depth: int, expand, key, error: type[Exception], what: str):
             if cell is not None:
                 cell[0] = value
             if not path:
-                return value
+                return value, expanded, hits
             fold, cell = path.pop()
         path.append((fold, cell))
 

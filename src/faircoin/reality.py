@@ -102,15 +102,16 @@ def worst_case(strategy, rounds: int, objective: str = "final"):
     def expand(strat, n):
         best = best_path = None
         for x, nxt in zip((-1, 1), strat.children()):
-            val, path = (nxt.wealth, None) if n + 1 == rounds else (yield nxt)
+            wealth = nxt.wealth
+            val, path = (wealth, None) if n + 1 == rounds else (yield nxt)
             if objective == "running_min":
-                val = min(val, nxt.wealth)
+                val = min(val, wealth)
             if best is None or val < best:
                 best, best_path = val, (x, path)
         return best, best_path
 
-    value, cell = walk_tree(strategy, rounds, expand, lambda strat: strat.state_key(),
-                            RealityError, "minimax")
+    (value, cell), _, _ = walk_tree(strategy, rounds, expand, lambda strat: strat.state_key(),
+                                     RealityError, "minimax")
     path = []
     while cell is not None:
         x, cell = cell

@@ -38,9 +38,10 @@ class Strategy:
     ``game.settle_product``, bound as ``_settle`` when the bettor is
     built.  Otherwise ``_den`` is None and they are numbers of the mode.
 
-    One stake path serves every account: ``next_stake()`` announces zero
-    while ``stopped`` is set, else ``_stake()``, and changes nothing but
-    ``_pending``.  Only ``__init__`` and ``_after`` set ``stopped``.
+    One stake path serves every account: ``_announce()``, under both
+    ``next_stake()`` and ``children()``, announces zero while ``stopped``
+    is set, else ``_stake()``, and changes nothing but ``_pending``.  Only
+    ``__init__`` and ``_after`` set ``stopped``.
     """
 
     def __init__(self, initial_capital=Fraction(1), exact: bool = True, den: int | None = None,
@@ -86,12 +87,18 @@ class Strategy:
         return self._k if self._den == 0 else self._value(self._w0 + self._k)
 
     def next_stake(self):
+        num = self._announce()
+        return num if self._den is None else self._value(num)
+
+    def _announce(self):
+        """Set the stake of the coming round, in account units, as
+        ``_pending`` and return it: the one stake path under both
+        ``next_stake()`` and ``children()``."""
         if self._pending is not None:
             raise StrategyError("next_stake() called twice without observe()")
         num = type(self._w0)() if self.stopped else self._stake()  # the account's zero
-        stake = num if self._den is None else self._value(num)
         self._pending = num
-        return stake
+        return num
 
     def observe(self, x: int) -> None:
         if type(x) is not int or (x != 1 and x != -1):  # two int compares, no tuple search
@@ -120,10 +127,11 @@ class Strategy:
         """The two strategies one round on: (after -1, after +1).
 
         The stake is announced once, on a clone, so this strategy itself
-        is left untouched.
+        is left untouched.  It is announced in account units only: no
+        value is handed out, so none is built.
         """
         down = self.clone()
-        down.next_stake()
+        down._announce()
         up = down.clone()
         down.observe(-1)
         up.observe(1)
@@ -131,7 +139,12 @@ class Strategy:
 
     def state_key(self):
         """Hashable full betting state, or None when not re-simulatable
-        from a compact key (used to memoize adversarial search)."""
+        from a compact key (used to memoize adversarial search).
+
+        A key is valid only within one walk: every node of a walk is a
+        clone of one root, so a key may leave out the constants the root
+        was built with.
+        """
         return None
 
 
@@ -161,6 +174,9 @@ class MultiplicativeContrarian(Strategy):
         return -self.c * (self.s / self.n) * (self._w0 + self._k)
 
     def state_key(self):
+        if self.exact:  # integers hash without the modular inverse a Fraction takes
+            w = self._k
+            return ("mulc", self.n, self.s, w.numerator, w.denominator)
         return ("mulc", self.c, self.n, self.s, self._k)
 
 

@@ -43,6 +43,9 @@ class IdentityReport:
     paths_checked: int
     max_discrepancy: Fraction | float
     counterexample: tuple[int, ...] | None = None
+    # the walk's work: nodes expanded, and nodes met again and not expanded
+    nodes_expanded: int = 0
+    memo_hits: int = 0
 
     @property
     def passed(self) -> bool:
@@ -53,6 +56,8 @@ class IdentityReport:
         return {
             "identity": self.identity,
             "paths_checked": self.paths_checked,
+            "nodes_expanded": self.nodes_expanded,
+            "memo_hits": self.memo_hits,
             "max_discrepancy": fmt_number(disc) if isinstance(disc, Fraction) else disc,
             "counterexample": list(self.counterexample) if self.counterexample else None,
             "passed": self.passed,
@@ -169,13 +174,24 @@ def _snapshot(v):
     larger); a list or tuple becomes a tuple of its elements, each of them
     snapshotted if it is one of these kinds and kept as itself otherwise.
 
-    Attributes come in their insertion order, not sorted.  Names are kept,
-    so two states whose attributes were set in different orders can only
-    fail to merge; equal snapshots always hold equal states.
+    A Fraction attribute is followed by its numerator and denominator, two
+    integers, in place of itself: a Fraction's hash takes a modular
+    inverse.  The next part is a name, a str, so no other value's parts
+    can match those two.  Attributes come in their insertion order, not
+    sorted.  Names are kept, so two states whose attributes were set in
+    different orders can only fail to merge; equal snapshots always hold
+    equal states.  A snapshot is a memo key within one walk only.
     """
     if isinstance(v, Strategy):
-        return (type(v), *[part for name, x in vars(v).items() if name != "_pending"
-                           for part in (name, _snapshot(x) if isinstance(x, _NESTED) else x)])
+        parts = [type(v)]
+        for name, x in vars(v).items():
+            if name == "_pending":
+                continue
+            if type(x) is Fraction:
+                parts += name, x.numerator, x.denominator
+            else:
+                parts += name, _snapshot(x) if isinstance(x, _NESTED) else x
+        return tuple(parts)
     return tuple([_snapshot(x) if isinstance(x, _NESTED) else x for x in v])
 
 
@@ -207,12 +223,13 @@ def _walk(identity: str, depth: int, root, step) -> IdentityReport:
                 return failure
 
     key = _snapshot if any(isinstance(v, Strategy) for v in root) else None
-    failure = walk_tree(root, depth, expand, key, VerifyError, "exhaustive")
+    failure, expanded, hits = walk_tree(root, depth, expand, key, VerifyError, "exhaustive")
     if failure is None:
-        return IdentityReport(identity, 1 << depth, Fraction(0))
+        return IdentityReport(identity, 1 << depth, Fraction(0), None, expanded, hits)
     path.reverse()  # -1 is tried first, so each +1 on it skips a finished subtree
     checked = sum(1 << (depth - i) for i, x in enumerate(path, start=1) if x == 1)
-    return IdentityReport(identity, checked + (len(path) == depth), failure, tuple(path))
+    return IdentityReport(identity, checked + (len(path) == depth), failure, tuple(path),
+                          expanded, hits)
 
 
 def _mismatch(got, want):
@@ -226,29 +243,41 @@ def exhaustive_product_check(c, depth: int) -> IdentityReport:
     M_{n+1} = -c * xbar_n * K_n, with K_n the walk's own product; with the
     wealth check this is the protocol's settlement K_{n+1} = K_n + M_{n+1}
     * x_{n+1}, which the engine's running product does not compute.
+
+    The walk keeps K_n as two integers in lowest terms, pn / pd, and
+    multiplies them as Fraction does, by cross gcds; both it and the
+    engine's wealth are in lowest terms, so they are equal exactly when
+    their numerators and denominators are.  A Fraction is built only for
+    a discrepancy.
     """
     c = Fraction(c)
     p, q = c.numerator, c.denominator
+    gcd = math.gcd
 
     def step(node, n):
-        strat, prod, s = node
+        strat, pn, pd, s = node
         ps, qn = p * s, q * (n or 1)  # c * xbar_n is ps / qn (s is 0 when n is)
         m = strat.clone().next_stake()
-        # m == -(ps / qn) * prod, cross-multiplied
-        stake_ok = m.numerator * qn * prod.denominator == -ps * prod.numerator * m.denominator
+        # m == -(ps / qn) * K_n, cross-multiplied
+        stake_ok = m.numerator * qn * pd == -ps * pn * m.denominator
         for x, child in zip(_MOVES, strat.children()):
             top = qn - ps * x  # the factor 1 - c * xbar_n * x is top / qn
-            prod2 = prod * Fraction(top, qn)
+            g = gcd(top, qn)
+            top, bottom = top // g, qn // g
+            g1, g2 = gcd(pn, bottom), gcd(top, pd)
+            pn2, pd2 = (pn // g1) * (top // g2), (pd // g2) * (bottom // g1)
+            wealth = child.wealth
             if top <= 0:
                 failure = Fraction(1)
             elif not stake_ok:
-                failure = abs(m + Fraction(ps, qn) * prod)
+                failure = abs(m + Fraction(ps * pn, qn * pd))
+            elif wealth.numerator != pn2 or wealth.denominator != pd2:
+                failure = abs(wealth - Fraction(pn2, pd2))
             else:
-                failure = _mismatch(child.wealth, prod2)
-            yield failure, (child, prod2, s + x)
+                failure = None
+            yield failure, (child, pn2, pd2, s + x)
 
-    return _walk("product-capital", depth,
-                 (MultiplicativeContrarian(c), Fraction(1), 0), step)
+    return _walk("product-capital", depth, (MultiplicativeContrarian(c), 1, 1, 0), step)
 
 
 def exhaustive_summation_check(depth: int) -> IdentityReport:

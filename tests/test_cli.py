@@ -270,17 +270,19 @@ def test_verify_with_params(capsys):
     assert json.loads(out)["passed"] is True
 
 
-# the six checks at their defaults, pinned byte for byte
+# the six checks at their defaults, pinned byte for byte; the oracle-only
+# walks expand all 1023 inner nodes, the engine walks merge equal states
 VERIFY_PINS = {
-    check: json.dumps({"identity": identity, "paths_checked": 1024, "max_discrepancy": "0/1",
-                       "counterexample": None, "passed": True})
-    for check, identity in [
-        ("additive-closed-form", "additive-closed-form"),
-        ("log-lower-bound", "log-lower-bound"),
-        ("one-sided-capital", "one-sided-capital-down-2"),
-        ("product-capital", "product-capital"),
-        ("stopped-additive-collateral", "stopped-additive-collateral"),
-        ("summation-identity", "summation-identity"),
+    check: json.dumps({"identity": identity, "paths_checked": 1024,
+                       "nodes_expanded": expanded, "memo_hits": hits,
+                       "max_discrepancy": "0/1", "counterexample": None, "passed": True})
+    for check, identity, expanded, hits in [
+        ("additive-closed-form", "additive-closed-form", 55, 36),
+        ("log-lower-bound", "log-lower-bound", 1023, 0),
+        ("one-sided-capital", "one-sided-capital-down-2", 71, 44),
+        ("product-capital", "product-capital", 523, 24),
+        ("stopped-additive-collateral", "stopped-additive-collateral", 103, 60),
+        ("summation-identity", "summation-identity", 1023, 0),
     ]
 }
 

@@ -412,25 +412,35 @@ def test_settle_keeps_the_bits_at_the_float_edges(k, stake, x):
 
 def _count_walk(depth, key):
     """walk_tree over the +-1 walk from 0: a node is its position, and its
-    value the number of full-length paths below it.  Returns the value and
-    a Counter of the (round, position) pairs expanded."""
+    value the number of full-length paths below it.  Returns the value, a
+    Counter of the (round, position) pairs expanded and the memo hits
+    walk_tree counted, after checking its counts against the expansions
+    and the children yielded."""
     expanded = Counter()
+    yielded = 0
 
     def expand(s, n):
+        nonlocal yielded
         expanded[n, s] += 1
         total = 0
         for x in (-1, 1):
+            yielded += n + 1 < depth
             total += 1 if n + 1 == depth else (yield s + x)
         return total
 
-    return walk_tree(0, depth, expand, key, GameError, "toy"), expanded
+    value, n_expanded, hits = walk_tree(0, depth, expand, key, GameError, "toy")
+    # each node visited, the root or a child yielded, is expanded or a memo hit
+    assert n_expanded == sum(expanded.values()) and n_expanded + hits == 1 + yielded
+    return value, expanded, hits
 
 
 def test_walk_tree_expands_each_round_and_key_once():
-    value, expanded = _count_walk(12, lambda s: s)
+    value, expanded, hits = _count_walk(12, lambda s: s)
     assert value == 1 << 12  # a hit hands back the value its first visit folded
     assert set(expanded) == {(n, s) for n in range(12) for s in range(-n, n + 1, 2)}
     assert set(expanded.values()) == {1}
+    # 78 states; 132 children yielded, of which 77 were new
+    assert hits == 55
 
 
 def test_walk_tree_memoises_a_none_value():
@@ -444,7 +454,7 @@ def test_walk_tree_memoises_a_none_value():
                 sent.append((yield s + x))
         return None
 
-    assert walk_tree(0, 10, expand, lambda s: s, GameError, "toy") is None
+    assert walk_tree(0, 10, expand, lambda s: s, GameError, "toy")[0] is None
     assert set(expanded.values()) == {1} and len(expanded) == sum(range(1, 11))
     # every inner child is sent back, hits included, and each is None
     assert len(sent) == 2 * sum(range(1, 10)) and set(sent) == {None}
@@ -452,9 +462,9 @@ def test_walk_tree_memoises_a_none_value():
 
 @pytest.mark.parametrize("key", [None, lambda s: None], ids=["key=None", "None key"])
 def test_walk_tree_without_a_key_never_merges(key):
-    value, expanded = _count_walk(10, key)
+    value, expanded, hits = _count_walk(10, key)
     assert value == 1 << 10
-    assert sum(expanded.values()) == (1 << 10) - 1
+    assert sum(expanded.values()) == (1 << 10) - 1 and hits == 0
 
 
 def test_walk_tree_refuses_a_keyless_root_over_budget_up_front(monkeypatch):

@@ -19,6 +19,7 @@ from faircoin.strategies import (Mixture, MultiplicativeContrarian, OneSided, St
 from faircoin.verify import VerifyError, exhaustive, product_capital
 from test_pricing import series_lines_are_the_json_lines
 from test_reality import plain_minimax
+from test_strategies import unsound_keys
 
 # -- mutants: each takes a monkeypatch and breaks one thing ------------------
 
@@ -58,6 +59,34 @@ def mixture_denominator_too_small(patch):
 
 def snapshot_never_merges(patch):
     patch.setattr(verify, "_snapshot", lambda v: None)
+
+
+def snapshot_keeps_only_numerators(patch):
+    snapshot = verify._snapshot
+
+    def mutant(v):
+        if isinstance(v, Strategy):
+            v = v.clone()
+            vars(v).update({name: x.numerator for name, x in vars(v).items()
+                            if type(x) is Fraction})
+        return snapshot(v)
+    patch.setattr(verify, "_snapshot", mutant)
+
+
+def mulc_key_without_the_denominator(patch):
+    key = MultiplicativeContrarian.state_key
+    patch.setattr(MultiplicativeContrarian, "state_key", lambda self: key(self)[:-1])
+
+
+def children_announce_a_zero_stake(patch):
+    def mutant(self):
+        down = self.clone()
+        down._pending = type(down._w0)()
+        up = down.clone()
+        down.observe(-1)
+        up.observe(1)
+        return down, up
+    patch.setattr(Strategy, "children", mutant)
 
 
 def mixture_key_drops_a_component(patch):
@@ -159,6 +188,19 @@ def mixture_worst_case_is_the_plain_minimax():
                for rounds in (5, 6))
 
 
+# exact mulc at three constants: at c = 1/2 the round-3 states W = 3/4 and
+# W = 3/2 share (n, s, numerator)
+MULC_ROOTS = [(f"mulc:c={c}", True) for c in ("1/2", "1/3", "2/5")]
+
+
+def mulc_state_keys_are_sound():
+    return not unsound_keys(lambda strat: strat.state_key(), MULC_ROOTS)
+
+
+def mulc_snapshots_are_sound():
+    return not unsound_keys(lambda strat: verify._snapshot(strat), MULC_ROOTS)
+
+
 def merging_walk_fits_136_states():
     # additive-closed-form at depth 16 has 136 distinct states
     with pytest.MonkeyPatch.context() as patch:
@@ -205,6 +247,9 @@ MUTANTS = [
     (gain_ignores_the_denominator, one_sided_capital),
     (mixture_denominator_too_small, q_mixture_is_the_product_sum),
     (snapshot_never_merges, merging_walk_fits_136_states),
+    (snapshot_keeps_only_numerators, mulc_snapshots_are_sound),
+    (mulc_key_without_the_denominator, mulc_state_keys_are_sound),
+    (children_announce_a_zero_stake, additive_closed_form),
     (mixture_key_drops_a_component, mixture_worst_case_is_the_plain_minimax),
     (mulc_stake_swaps_c, product_capital_walk),
     (product_factor_flips_the_move, product_capital_walk),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircoin import verify
 from faircoin.game import run_game
 from faircoin.reality import FixedPath
 from faircoin.strategies import (
@@ -19,6 +20,7 @@ from faircoin.strategies import (
     PathBettor,
     SignForcing,
     StoppedAdditive,
+    Strategy,
     StrategyError,
     ZeroStrategy,
     parse_strategy,
@@ -651,3 +653,95 @@ def test_next_stake_changes_nothing_but_the_pending_stake(spec, exact):
         strategy.next_stake()
         assert _snapshot((strategy,)) == before
         strategy.observe(x)
+
+
+# -- memo keys and children() -------------------------------------------------
+
+# the attributes a bettor's future never reads, which its state_key leaves
+# out: a zero bettor never bets, a path bettor reads only n and its account
+UNREAD = {ZeroStrategy: ("s",), PathBettor: ("s",)}
+
+
+def by_value(v, unread=None):
+    """v's state, compared by value: a strategy becomes its type and a dict
+    of its attributes, recursively, but for the announced stake and the
+    names ``unread`` gives for its type; a list or tuple becomes a tuple."""
+    if isinstance(v, Strategy):
+        skip = ("_pending", *(unread or {}).get(type(v), ()))
+        return type(v), {name: by_value(x, unread) for name, x in vars(v).items()
+                         if name not in skip}
+    if isinstance(v, (list, tuple)):
+        return tuple(by_value(x, unread) for x in v)
+    return v
+
+
+def tree_states(root, depth):
+    """The states of root's game tree, one list per round 0..depth."""
+    rounds = [[root]]
+    for _ in range(depth):
+        rounds.append([child for strat in rounds[-1] for child in strat.children()])
+    return rounds
+
+
+# every spec kind in both modes, and mulc at constants whose walks differ
+KEY_ROOTS = [(spec, exact) for spec in SWITCH_SPECS for exact in (True, False)] + [
+    (f"mulc:c={c}", exact) for c in ("1/3", "2/5") for exact in (True, False)]
+
+
+def unsound_keys(key, roots=KEY_ROOTS, depth=8, unread=None):
+    """The (spec, round) of each pair of states that share a non-None
+    ``key(strategy)`` at one round but differ by value (see by_value):
+    a memo keyed on it would merge states with different futures."""
+    bad = []
+    for spec, exact in roots:
+        for n, states in enumerate(tree_states(parse_strategy(spec, exact=exact), depth)):
+            seen = {}
+            for strat in states:
+                if (k := key(strat)) is not None \
+                        and seen.setdefault(k, by_value(strat, unread)) != by_value(strat, unread):
+                    bad.append((spec, exact, n))
+    return bad
+
+
+# a signforce holds its value table, a dataclass of lists: its snapshot does
+# not hash, and no verify walk runs it
+SNAPSHOT_ROOTS = [(spec, exact) for spec, exact in KEY_ROOTS if not spec.startswith("signforce")]
+
+
+def test_state_keys_and_snapshots_merge_only_equal_states():
+    assert not unsound_keys(lambda strat: strat.state_key(), unread=UNREAD)
+    assert not unsound_keys(lambda strat: verify._snapshot(strat), SNAPSHOT_ROOTS)
+
+
+def test_exact_mulc_children_build_no_value(monkeypatch):
+    strat = MultiplicativeContrarian(Fraction(1, 2))
+    feed(strat, [1, 1, -1])
+    calls = 0
+    value = Strategy._value
+
+    def counting(self, num):
+        nonlocal calls
+        calls += 1
+        return value(self, num)
+
+    monkeypatch.setattr(Strategy, "_value", counting)
+    down, up = strat.children()
+    assert calls == 0
+    assert [child.wealth for child in (down, up)] == [
+        product_capital([1, 1, -1, x], Fraction(1, 2)) for x in (-1, 1)]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("spec", SWITCH_SPECS)
+def test_children_are_a_clone_played_one_round(spec, exact):
+    for states in tree_states(parse_strategy(spec, exact=exact), 5):
+        for strat in states:
+            before = by_value(strat)
+            played = []
+            for x in (-1, 1):
+                clone = strat.clone()
+                clone.next_stake()
+                clone.observe(x)
+                played.append(by_value(clone))
+            assert [by_value(child) for child in strat.children()] == played
+            assert by_value(strat) == before

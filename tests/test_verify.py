@@ -228,11 +228,16 @@ def tree_walk(identity, depth, root, step):
 
 
 def _both_walks(monkeypatch, run):
-    """The JSON of ``run()`` under the memoised walk and under tree_walk."""
-    memo = json.dumps(run().to_json_dict())
+    """The JSON of ``run()`` under the memoised walk and under tree_walk,
+    in the fields both walks report: tree_walk counts no work."""
+    def shared():
+        return json.dumps({name: value for name, value in run().to_json_dict().items()
+                           if name not in ("nodes_expanded", "memo_hits")})
+
+    memo = shared()
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_walk", tree_walk)
-        plain = json.dumps(run().to_json_dict())
+        plain = shared()
     return memo, plain
 
 
@@ -335,8 +340,10 @@ def test_equal_states_are_walked_once(monkeypatch):
     report, calls = _children_calls(monkeypatch,
                                     lambda: exhaustive_additive_check(Fraction(2, 7), 16))
     assert report.passed and report.paths_checked == 1 << 16
-    # one call per (n, s) with n < 16, not one per inner node (65,535)
-    assert calls == sum(n + 1 for n in range(16)) == 136
+    # one call per (n, s) with n < 16, not one per inner node (65,535); the
+    # report counts them, and the 105 children met again
+    assert calls == sum(n + 1 for n in range(16)) == 136 == report.nodes_expanded
+    assert report.memo_hits == 105
 
 
 @pytest.mark.parametrize("walk, nodes", [
@@ -346,7 +353,10 @@ def test_equal_states_are_walked_once(monkeypatch):
 def test_mulc_walks_expand_a_pinned_number_of_nodes(monkeypatch, walk, nodes):
     # mulc's gain tells apart most paths; the merges left (snapshot in the
     # product walk, state_key in worst_case) must all still happen
-    assert _children_calls(monkeypatch, walk)[1] == nodes
+    result, calls = _children_calls(monkeypatch, walk)
+    assert calls == nodes
+    if isinstance(result, verify.IdentityReport):  # worst_case hands out no counts yet
+        assert (result.nodes_expanded, result.memo_hits) == (nodes, 200)
 
 
 def test_failing_oracle_walk_stops_at_its_first_node():
@@ -356,7 +366,7 @@ def test_failing_oracle_walk_stops_at_its_first_node():
     assert report.counterexample == (-1, -1)
     assert report.paths_checked == 0
     assert exhaustive(6, "log-lower-bound", c=Fraction(1, 2), slack=-0.5).to_json_dict() == {
-        "identity": "log-lower-bound", "paths_checked": 0,
+        "identity": "log-lower-bound", "paths_checked": 0, "nodes_expanded": 2, "memo_hits": 0,
         "max_discrepancy": -0.13356602430006836, "counterexample": [-1, -1], "passed": False}
 
 
