@@ -96,6 +96,10 @@ class EtaTable:
     # numerators at scale 2**(horizon - n + 1), indexed by (s + w_n) // 2
     _levels: list[list[int]]
 
+    def __hash__(self) -> int:
+        # the lists are a function of these three, so equal tables hash equal
+        return hash((self.l, self.horizon, self.tail_value))
+
     def is_live(self, n: int, s: int) -> bool:
         return 0 <= n <= self.horizon and abs(s) <= self._widths[n] and (s - n) % 2 == 0
 

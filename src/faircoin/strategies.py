@@ -197,13 +197,13 @@ class AdditiveContrarian(Strategy):
         return ("addc", self._eps, self.s, self._k)
 
 
-class StoppedAdditive(Strategy):
+class StoppedAdditive(AdditiveContrarian):
     """Additive contrarian with the bankruptcy-avoiding stop rule.
 
     eps must have the form 2/m for a positive integer m, so the guard
     |s_{i-1}| <= sqrt(i + 2/eps) - 1 is the exact integer test
-    (|s_{i-1}| + 1)^2 <= i + m.  Once the guard fails at any round, all
-    later stakes are zero.
+    ``not boundary_exceeds(i, s_{i-1}, m)``.  Once the guard fails at any
+    round, all later stakes are zero.
     """
 
     def __init__(self, eps, exact: bool = True):
@@ -211,16 +211,12 @@ class StoppedAdditive(Strategy):
         m = Fraction(2) / eps if eps > 0 else Fraction(0)
         if m < 1 or m.denominator != 1:
             raise StrategyError(f"eps must be 2/m for a positive integer m, got {eps}")
-        super().__init__(Fraction(1), exact=exact, den=eps.denominator)
+        super().__init__(eps, exact=exact)
         self.m = int(m)
-        self._eps = eps.numerator if exact else float(eps)  # in account units
-
-    def _stake(self):
-        return -self._eps * self.s
 
     def _after(self, x: int) -> None:
-        # the guard of round i = n + 1 (see the class docstring)
-        if not self.stopped and (abs(self.s) + 1) ** 2 > self.n + 1 + self.m:
+        # the guard of round i = n + 1 reads s_{i-1} = s
+        if not self.stopped and boundary_exceeds(self.n + 1, self.s, self.m):
             self.stopped = True
 
     def state_key(self):
@@ -495,8 +491,8 @@ def parse_strategy(spec: str, exact: bool = True) -> Strategy:
 class ZeroStrategy(Strategy):
     """Never bets; useful as a mixture filler and in tests."""
 
-    def __init__(self, initial_capital=Fraction(1), exact: bool = True):
-        super().__init__(initial_capital, exact=exact, den=1)
+    def __init__(self, exact: bool = True):
+        super().__init__(Fraction(1), exact=exact, den=1)
         self.stopped = True
 
     def state_key(self):

@@ -244,34 +244,31 @@ def exhaustive_product_check(c, depth: int) -> IdentityReport:
     wealth check this is the protocol's settlement K_{n+1} = K_n + M_{n+1}
     * x_{n+1}, which the engine's running product does not compute.
 
-    The walk keeps K_n as two integers in lowest terms, pn / pd, and
-    multiplies them as Fraction does, by cross gcds; both it and the
-    engine's wealth are in lowest terms, so they are equal exactly when
-    their numerators and denominators are.  A Fraction is built only for
-    a discrepancy.
+    The walk keeps K_n unreduced, as an integer pn over pd, the product of
+    the factor denominators: pd is the same on every path to a round, so
+    equal products have equal pn and a memo merges them as it would in
+    lowest terms.  The stake and wealth are compared by cross-multiplying;
+    a Fraction is built only for a discrepancy.
     """
     c = Fraction(c)
     p, q = c.numerator, c.denominator
-    gcd = math.gcd
 
     def step(node, n):
         strat, pn, pd, s = node
         ps, qn = p * s, q * (n or 1)  # c * xbar_n is ps / qn (s is 0 when n is)
+        pd2 = pd * qn  # K_{n+1}'s denominator on every path
         m = strat.clone().next_stake()
         # m == -(ps / qn) * K_n, cross-multiplied
-        stake_ok = m.numerator * qn * pd == -ps * pn * m.denominator
+        stake_ok = m.numerator * pd2 == -ps * pn * m.denominator
         for x, child in zip(_MOVES, strat.children()):
             top = qn - ps * x  # the factor 1 - c * xbar_n * x is top / qn
-            g = gcd(top, qn)
-            top, bottom = top // g, qn // g
-            g1, g2 = gcd(pn, bottom), gcd(top, pd)
-            pn2, pd2 = (pn // g1) * (top // g2), (pd // g2) * (bottom // g1)
+            pn2 = pn * top
             wealth = child.wealth
             if top <= 0:
                 failure = Fraction(1)
             elif not stake_ok:
-                failure = abs(m + Fraction(ps * pn, qn * pd))
-            elif wealth.numerator != pn2 or wealth.denominator != pd2:
+                failure = abs(m + Fraction(ps * pn, pd2))
+            elif wealth.numerator * pd2 != pn2 * wealth.denominator:
                 failure = abs(wealth - Fraction(pn2, pd2))
             else:
                 failure = None

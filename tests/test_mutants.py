@@ -49,6 +49,24 @@ def stopadd_key_without_its_account(patch):
                   lambda self: ("stopadd", self.m, self.s, self.stopped))
 
 
+def _stop_guard_shifted(patch, rounds, offset):
+    """StoppedAdditive's guard as boundary_exceeds(n + 1, s, m), with
+    ``rounds`` added to its round and ``offset`` to its offset."""
+    def mutant(self, x):
+        if not self.stopped and strategies.boundary_exceeds(self.n + 1 + rounds, self.s,
+                                                             self.m + offset):
+            self.stopped = True
+    patch.setattr(StoppedAdditive, "_after", mutant)
+
+
+def stop_guard_one_round_late(patch):
+    _stop_guard_shifted(patch, -1, 0)
+
+
+def stop_guard_offset_m_plus_one(patch):
+    _stop_guard_shifted(patch, 0, 1)
+
+
 def gain_ignores_the_denominator(patch):
     patch.setattr(Strategy, "gain", property(lambda self: self._k))
 
@@ -173,6 +191,12 @@ def stopped_additive_collateral():
     return exhaustive(8, "stopped-additive-collateral", eps=Fraction(1, 2)).passed
 
 
+def stopped_additive_collateral_eps_2():
+    # m = 1: a guard at offset m + 1 overdraws the account at round 2, where
+    # at m = 2 and m = 4 the late stop keeps it solvent to depth 8
+    return exhaustive(8, "stopped-additive-collateral", eps=Fraction(2)).passed
+
+
 def worst_case_is_the_plain_minimax():
     # m = 4: stopped paths meet at one (n, s) with different accounts by round 7
     return all(worst_case(StoppedAdditive(Fraction(1, 2)), rounds)
@@ -243,6 +267,8 @@ MUTANTS = [
     (observe_drops_the_numerator_on_up, additive_closed_form),
     (observe_drops_the_numerator_on_up, one_sided_capital),
     (stopadd_key_without_its_account, worst_case_is_the_plain_minimax),
+    (stop_guard_one_round_late, stopped_additive_collateral),
+    (stop_guard_offset_m_plus_one, stopped_additive_collateral_eps_2),
     (gain_ignores_the_denominator, additive_closed_form),
     (gain_ignores_the_denominator, one_sided_capital),
     (mixture_denominator_too_small, q_mixture_is_the_product_sum),

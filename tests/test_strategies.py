@@ -703,14 +703,19 @@ def unsound_keys(key, roots=KEY_ROOTS, depth=8, unread=None):
     return bad
 
 
-# a signforce holds its value table, a dataclass of lists: its snapshot does
-# not hash, and no verify walk runs it
-SNAPSHOT_ROOTS = [(spec, exact) for spec, exact in KEY_ROOTS if not spec.startswith("signforce")]
-
-
 def test_state_keys_and_snapshots_merge_only_equal_states():
     assert not unsound_keys(lambda strat: strat.state_key(), unread=UNREAD)
-    assert not unsound_keys(lambda strat: verify._snapshot(strat), SNAPSHOT_ROOTS)
+    assert not unsound_keys(lambda strat: verify._snapshot(strat))
+
+
+def test_a_hedging_signforce_snapshot_hashes():
+    strat = SignForcing(hedge_cap=16)
+    feed(strat, [1, -1])  # back at the origin: the hedge holds a value table
+    assert strat._table is not None
+    twin = SignForcing(hedge_cap=16)
+    feed(twin, [1, -1])  # its own table, equal by value
+    assert twin._table is not strat._table
+    assert hash(verify._snapshot((strat,))) == hash(verify._snapshot((twin,)))
 
 
 def test_exact_mulc_children_build_no_value(monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from faircoin import game, verify
 from faircoin.reality import worst_case
-from faircoin.strategies import MultiplicativeContrarian, Strategy
+from faircoin.strategies import MultiplicativeContrarian, OneSided, StoppedAdditive, Strategy
 from faircoin.verify import (
     CHECKS,
     VerifyError,
@@ -346,17 +346,36 @@ def test_equal_states_are_walked_once(monkeypatch):
     assert report.memo_hits == 105
 
 
-@pytest.mark.parametrize("walk, nodes", [
-    (lambda: exhaustive_product_check(Fraction(1, 2), 13), 3595),
-    (lambda: worst_case(MultiplicativeContrarian(Fraction(1, 2)), 12), 1897),
-], ids=["product-capital-13", "mulc-worst-case-12"])
-def test_mulc_walks_expand_a_pinned_number_of_nodes(monkeypatch, walk, nodes):
+@pytest.mark.parametrize("walk, nodes, hits", [
+    (lambda: exhaustive_product_check(Fraction(1, 2), 13), 3595, 200),
+    (lambda: worst_case(MultiplicativeContrarian(Fraction(1, 2)), 12), 1897, None),
+    (lambda: exhaustive_product_check(Fraction(1, 3), 12), 1809, 82),
+    (lambda: exhaustive_product_check(Fraction(2, 5), 12), 1911, 64),
+    (lambda: exhaustive_product_check(Fraction(1, 2), 12), 1897, 66),
+], ids=["product-capital-13", "mulc-worst-case-12", "product-capital-12-c=1/3",
+        "product-capital-12-c=2/5", "product-capital-12-c=1/2"])
+def test_mulc_walks_expand_a_pinned_number_of_nodes(monkeypatch, walk, nodes, hits):
     # mulc's gain tells apart most paths; the merges left (snapshot in the
     # product walk, state_key in worst_case) must all still happen
     result, calls = _children_calls(monkeypatch, walk)
     assert calls == nodes
-    if isinstance(result, verify.IdentityReport):  # worst_case hands out no counts yet
-        assert (result.nodes_expanded, result.memo_hits) == (nodes, 200)
+    if hits is not None:  # worst_case hands out no counts yet
+        assert result.passed and (result.nodes_expanded, result.memo_hits) == (nodes, hits)
+
+
+def _tree_sweep():
+    """worst_case at depth 20, both objectives, over the stopped additive
+    bettors m = 1, 2, 4, 8 and the one-sided bettors N = 1, 2, 3 both ways."""
+    roots = [lambda m=m: StoppedAdditive(Fraction(2, m)) for m in (1, 2, 4, 8)] + [
+        lambda n=n, d=d: OneSided(n, d) for n in (1, 2, 3) for d in ("down", "up")]
+    return [worst_case(make(), 20, objective=objective)
+            for make in roots for objective in ("running_min", "final")]
+
+
+def test_tree_sweep_expands_a_pinned_number_of_nodes(monkeypatch):
+    results, calls = _children_calls(monkeypatch, _tree_sweep)
+    assert calls == 7128
+    assert all(value >= 0 for value, _ in results)
 
 
 def test_failing_oracle_walk_stops_at_its_first_node():
