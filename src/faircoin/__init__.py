@@ -9,7 +9,6 @@ rational arithmetic.
 
 from .game import (
     GameTrace,
-    check_collateral,
     run_game,
 )
 from .pricing import (

@@ -392,8 +392,3 @@ def run_game(strategy, reality, horizon: int, initial_capital=Fraction(1),
         trace.play(stake, move)
         strategy.observe(move)
     return trace
-
-
-def check_collateral(trace: GameTrace) -> bool:
-    """True iff initial_capital + K_n >= 0 for every round of the trace."""
-    return all(trace.initial_capital + r.capital >= 0 for r in trace.rounds)

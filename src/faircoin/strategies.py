@@ -38,9 +38,9 @@ class Strategy:
     ``game.settle_product``, bound as ``_settle`` when the bettor is
     built.  Otherwise ``_den`` is None and they are numbers of the mode.
 
-    One stake path serves every account: ``_announce()``, under both
-    ``next_stake()`` and ``children()``, announces zero while ``stopped``
-    is set, else ``_stake()``, and changes nothing but ``_pending``.  Only
+    One stake step serves every account and every caller, ``children()``
+    included: ``next_stake()`` announces zero while ``stopped`` is set,
+    else ``_stake()``, and changes nothing but ``_pending``.  Only
     ``__init__`` and ``_after`` set ``stopped``.
     """
 
@@ -87,18 +87,11 @@ class Strategy:
         return self._k if self._den == 0 else self._value(self._w0 + self._k)
 
     def next_stake(self):
-        num = self._announce()
-        return num if self._den is None else self._value(num)
-
-    def _announce(self):
-        """Set the stake of the coming round, in account units, as
-        ``_pending`` and return it: the one stake path under both
-        ``next_stake()`` and ``children()``."""
         if self._pending is not None:
             raise StrategyError("next_stake() called twice without observe()")
         num = type(self._w0)() if self.stopped else self._stake()  # the account's zero
-        self._pending = num
-        return num
+        self._pending = num  # in account units, for observe() to settle
+        return num if self._den is None else self._value(num)
 
     def observe(self, x: int) -> None:
         if type(x) is not int or (x != 1 and x != -1):  # two int compares, no tuple search
@@ -126,12 +119,12 @@ class Strategy:
     def children(self) -> tuple["Strategy", "Strategy"]:
         """The two strategies one round on: (after -1, after +1).
 
-        The stake is announced once, on a clone, so this strategy itself
-        is left untouched.  It is announced in account units only: no
-        value is handed out, so none is built.
+        A clone played one round: ``next_stake()`` once, then ``observe()``
+        with each move, so this strategy itself is left untouched.  The
+        value ``next_stake()`` hands out is built and dropped.
         """
         down = self.clone()
-        down._announce()
+        down.next_stake()
         up = down.clone()
         down.observe(-1)
         up.observe(1)
@@ -263,10 +256,7 @@ class PathBettor(Strategy):
         budget = Fraction(budget)
         if budget <= 0:
             raise StrategyError(f"budget must be > 0, got {budget}")
-        target = tuple(target)
-        for y in target:
-            if y not in (-1, 1):
-                raise StrategyError(f"target moves must be +-1, got {y!r}")
+        target = tuple(validate_move(y, StrategyError) for y in target)
         super().__init__(budget, exact=exact, den=budget.denominator)
         self.target = target
         self.stopped = not target

@@ -242,7 +242,9 @@ def exhaustive_product_check(c, depth: int) -> IdentityReport:
     At each node the engine's announced stake must also be the paper's
     M_{n+1} = -c * xbar_n * K_n, with K_n the walk's own product; with the
     wealth check this is the protocol's settlement K_{n+1} = K_n + M_{n+1}
-    * x_{n+1}, which the engine's running product does not compute.
+    * x_{n+1}, which the engine's running product does not compute.  Each
+    node is announced once: its children are one announced clone played
+    -1 and +1, so the stake checked is the one that settled them.
 
     The walk keeps K_n unreduced, as an integer pn over pd, the product of
     the factor denominators: pd is the same on every path to a round, so
@@ -257,10 +259,14 @@ def exhaustive_product_check(c, depth: int) -> IdentityReport:
         strat, pn, pd, s = node
         ps, qn = p * s, q * (n or 1)  # c * xbar_n is ps / qn (s is 0 when n is)
         pd2 = pd * qn  # K_{n+1}'s denominator on every path
-        m = strat.clone().next_stake()
+        down = strat.clone()  # children() played by hand, to keep the stake
+        m = down.next_stake()
+        up = down.clone()
+        down.observe(-1)
+        up.observe(1)
         # m == -(ps / qn) * K_n, cross-multiplied
         stake_ok = m.numerator * pd2 == -ps * pn * m.denominator
-        for x, child in zip(_MOVES, strat.children()):
+        for x, child in zip(_MOVES, (down, up)):
             top = qn - ps * x  # the factor 1 - c * xbar_n * x is top / qn
             pn2 = pn * top
             wealth = child.wealth

@@ -391,6 +391,22 @@ def test_domain_error_exits_2_with_one_line(capsys, argv):
     assert len(captured.err.splitlines()) == 1
 
 
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "additive-closed-form", "--depth", "4"],
+    ["price", "--l", "2", "--horizon", "8", "--series"],
+    _simulate(),
+])
+def test_a_closed_stdout_exits_1(monkeypatch, argv):
+    # the reader of a pipe went away (`faircoin ... | head`): exit 1, no traceback
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(argv) == 1
+
+
 def test_minimax_over_the_state_budget_exits_2(capsys, monkeypatch):
     # mulc's state_key holds its path-dependent gain, so its minimax tree
     # hardly merges: depth 40 is stopped by the count, not by its depth

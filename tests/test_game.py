@@ -19,7 +19,6 @@ from faircoin import game
 from faircoin.game import (
     GameError,
     GameTrace,
-    check_collateral,
     fmt_dyadic,
     fmt_number,
     moves_of,
@@ -115,10 +114,11 @@ def test_run_game_matches_product_formula():
 
 
 def test_run_game_keeps_every_round_for_collateral():
-    # the collateral check and the running minimum see the dip at round 2
+    # the running minimum sees the dip at round 2, so collateral fails,
+    # though the game ends with wealth 5
     trace = run_game(AdditiveContrarian(2), FixedPath([-1, -1, 1, 1]), 4)
     assert trace.min_wealth() == -1
-    assert check_collateral(trace) is False
+    assert trace.wealth(4) == 5
     with pytest.raises(TypeError):
         run_game(AdditiveContrarian(2), FixedPath([-1, -1, 1, 1]), 4, record=False)
 
@@ -129,15 +129,18 @@ def test_run_game_negative_horizon():
 
 
 def test_check_collateral_boundaries():
+    # collateral holds iff min_wealth() >= 0, round 0 included
     t = GameTrace(initial_capital=Fraction(1))
     t.play(Fraction(1), -1)  # K = -1
-    assert check_collateral(t)
+    assert t.min_wealth() == 0
     t2 = GameTrace(initial_capital=Fraction(1))
     t2.play(Fraction(5, 4), -1)  # K = -5/4
-    assert not check_collateral(t2)
+    assert t2.min_wealth() == Fraction(-1, 4)
     t3 = GameTrace(initial_capital=Fraction(0))
     t3.play(Fraction(1), 1)
-    assert check_collateral(t3)
+    assert t3.min_wealth() == 0
+    # no round played: a negative endowment is already short
+    assert GameTrace(initial_capital=Fraction(-1)).min_wealth() == -1
 
 
 def test_wealth_indexing_and_min():
@@ -301,6 +304,7 @@ GOOD_ROW = "1,1,1/2,1/2,1\n"
     "1,-1,1/2,1/2,-1",    # K does not move by M * x
     "1,1,1/2",            # too few fields
     "1,one,0/1,0/1,1",    # not a number
+    "1,1,half,1/2,1",     # an exact M that is not a number
 ])
 def test_csv_reader_rejects_inconsistent_rows(bad):
     with pytest.raises(GameError, match="CSV line 3"):
@@ -318,6 +322,16 @@ def test_jsonl_reader_rejects_inconsistent_rows(bad):
     with pytest.raises(GameError, match="JSONL line 2"):
         GameTrace.read_jsonl(io.StringIO('{"n": 1, "x": -1, "M": "0/1", "K": "0/1", "s": -1}\n'
                                          + bad + "\n"))
+
+
+def test_jsonl_reader_skips_blank_lines():
+    first = '{"n": 1, "x": -1, "M": "0/1", "K": "0/1", "s": -1}\n'
+    second = '{"n": 2, "x": 1, "M": "1/2", "K": "1/2", "s": 0}\n'
+    trace = GameTrace.read_jsonl(io.StringIO(first + "\n  \n" + second))
+    assert [r.n for r in trace.rounds] == [1, 2] and trace.final_capital == Fraction(1, 2)
+    # a row is still named by its line in the file
+    with pytest.raises(GameError, match="JSONL line 3"):
+        GameTrace.read_jsonl(io.StringIO(first + "\n" + first))
 
 
 def test_float_reader_compares_k_exactly():

@@ -137,6 +137,27 @@ def mulc_announces_the_negated_stake(patch):
     patch.setattr(Strategy, "next_stake", mutant)
 
 
+def next_stake_leaves_no_pending_stake(patch):
+    next_stake = Strategy.next_stake
+
+    def mutant(self):
+        stake = next_stake(self)
+        self._pending = None
+        return stake
+    patch.setattr(Strategy, "next_stake", mutant)
+
+
+def next_stake_pends_the_handed_out_value(patch):
+    next_stake = Strategy.next_stake
+
+    def mutant(self):
+        stake = next_stake(self)
+        if self._den:  # an integer account, over a denominator
+            self._pending = stake
+        return stake
+    patch.setattr(Strategy, "next_stake", mutant)
+
+
 def settle_ignores_the_sign(patch):
     def mutant(k, stake, x):
         return k + stake
@@ -280,6 +301,8 @@ MUTANTS = [
     (mulc_stake_swaps_c, product_capital_walk),
     (product_factor_flips_the_move, product_capital_walk),
     (mulc_announces_the_negated_stake, product_capital_walk),
+    (next_stake_leaves_no_pending_stake, additive_closed_form),
+    (next_stake_pends_the_handed_out_value, additive_closed_form),
     (settle_ignores_the_sign, q_mixture_is_the_product_sum),
     (series_reuses_values_on_even_horizons, series_lines_are_the_json_lines),
     (one_tail_root_negated, replication_sees_no_negative_hedge),

@@ -296,6 +296,21 @@ def test_path_bettor_empty_target():
     assert strat.wealth == Fraction(1, 3)
 
 
+@pytest.mark.parametrize("move", [1.0, True, 0], ids=["float", "bool", "zero"])
+def test_path_bettor_refuses_a_target_move_observe_refuses(move):
+    # observe() refuses these moves, so a target holding one is refused when
+    # built, not at its first stake (1.0) or taken as +1 (True)
+    with pytest.raises(StrategyError, match="move must be -1 or \\+1"):
+        PathBettor([move, -1], Fraction(1, 2))
+
+
+def test_path_bettor_takes_numpy_integer_moves():
+    strat = PathBettor([np.int64(1), -1], Fraction(1, 4))
+    assert [type(y) for y in strat.target] == [int, int]
+    feed(strat, [1, -1])
+    assert strat.wealth == 1
+
+
 @given(moves_lists, st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=6))
 def test_path_bettor_all_or_nothing(moves, target):
     budget = Fraction(1, 1 << len(target))
@@ -718,20 +733,10 @@ def test_a_hedging_signforce_snapshot_hashes():
     assert hash(verify._snapshot((strat,))) == hash(verify._snapshot((twin,)))
 
 
-def test_exact_mulc_children_build_no_value(monkeypatch):
+def test_exact_mulc_children_are_the_product():
     strat = MultiplicativeContrarian(Fraction(1, 2))
     feed(strat, [1, 1, -1])
-    calls = 0
-    value = Strategy._value
-
-    def counting(self, num):
-        nonlocal calls
-        calls += 1
-        return value(self, num)
-
-    monkeypatch.setattr(Strategy, "_value", counting)
     down, up = strat.children()
-    assert calls == 0
     assert [child.wealth for child in (down, up)] == [
         product_capital([1, 1, -1, x], Fraction(1, 2)) for x in (-1, 1)]
 

@@ -67,6 +67,8 @@ def test_log_bound_examples():
     # exact floats, so a change in the order of float operations shows
     assert log_capital_bound_margin([1, -1] * 50, Fraction(1, 2)) == 0.3290574372987287
     assert log_capital_bound_margin([1] * 50, Fraction(1, 4)) == 1.286976241475383
+    with pytest.raises(VerifyError, match="needs length >= 2"):
+        log_capital_bound_margin([1], Fraction(1, 2))
 
 
 def test_additive_capital_oracle():
@@ -320,45 +322,44 @@ def test_path_dependence_hidden_in_an_attribute_is_caught(monkeypatch, engine, c
     assert check(8).passed
 
 
-def _children_calls(monkeypatch, walk):
-    """walk()'s result and the number of Strategy.children calls it made:
-    one per engine node a walk expands."""
-    calls = 0
-    children = Strategy.children
+def _calls(monkeypatch, walk):
+    """walk()'s result and its calls of Strategy.children and of
+    Strategy.next_stake.  A walk expands an engine node with one
+    children() call, which plays a clone through one next_stake(); the
+    product walk plays that clone itself, to keep the stake it checks."""
+    calls = {"children": 0, "next_stake": 0}
+    for name in calls:
+        def counting(self, _name=name, _method=getattr(Strategy, name)):
+            calls[_name] += 1
+            return _method(self)
 
-    def counting(self):
-        nonlocal calls
-        calls += 1
-        return children(self)
-
-    monkeypatch.setattr(Strategy, "children", counting)
-    result = walk()
-    return result, calls
+        monkeypatch.setattr(Strategy, name, counting)
+    return walk(), calls
 
 
 def test_equal_states_are_walked_once(monkeypatch):
-    report, calls = _children_calls(monkeypatch,
-                                    lambda: exhaustive_additive_check(Fraction(2, 7), 16))
+    report, calls = _calls(monkeypatch, lambda: exhaustive_additive_check(Fraction(2, 7), 16))
     assert report.passed and report.paths_checked == 1 << 16
     # one call per (n, s) with n < 16, not one per inner node (65,535); the
     # report counts them, and the 105 children met again
-    assert calls == sum(n + 1 for n in range(16)) == 136 == report.nodes_expanded
+    assert calls["children"] == sum(n + 1 for n in range(16)) == 136 == report.nodes_expanded
     assert report.memo_hits == 105
 
 
-@pytest.mark.parametrize("walk, nodes, hits", [
-    (lambda: exhaustive_product_check(Fraction(1, 2), 13), 3595, 200),
-    (lambda: worst_case(MultiplicativeContrarian(Fraction(1, 2)), 12), 1897, None),
-    (lambda: exhaustive_product_check(Fraction(1, 3), 12), 1809, 82),
-    (lambda: exhaustive_product_check(Fraction(2, 5), 12), 1911, 64),
-    (lambda: exhaustive_product_check(Fraction(1, 2), 12), 1897, 66),
+@pytest.mark.parametrize("walk, children, nodes, hits", [
+    (lambda: exhaustive_product_check(Fraction(1, 2), 13), 0, 3595, 200),
+    (lambda: worst_case(MultiplicativeContrarian(Fraction(1, 2)), 12), 1897, 1897, None),
+    (lambda: exhaustive_product_check(Fraction(1, 3), 12), 0, 1809, 82),
+    (lambda: exhaustive_product_check(Fraction(2, 5), 12), 0, 1911, 64),
+    (lambda: exhaustive_product_check(Fraction(1, 2), 12), 0, 1897, 66),
 ], ids=["product-capital-13", "mulc-worst-case-12", "product-capital-12-c=1/3",
         "product-capital-12-c=2/5", "product-capital-12-c=1/2"])
-def test_mulc_walks_expand_a_pinned_number_of_nodes(monkeypatch, walk, nodes, hits):
+def test_mulc_walks_expand_a_pinned_number_of_nodes(monkeypatch, walk, children, nodes, hits):
     # mulc's gain tells apart most paths; the merges left (snapshot in the
-    # product walk, state_key in worst_case) must all still happen
-    result, calls = _children_calls(monkeypatch, walk)
-    assert calls == nodes
+    # product walk, state_key in worst_case) must all still happen.  Each
+    # expanded node announces one stake; the product walk calls no children()
+    result, calls = _calls(monkeypatch, walk)
+    assert calls == {"children": children, "next_stake": nodes}
     if hits is not None:  # worst_case hands out no counts yet
         assert result.passed and (result.nodes_expanded, result.memo_hits) == (nodes, hits)
 
@@ -373,8 +374,8 @@ def _tree_sweep():
 
 
 def test_tree_sweep_expands_a_pinned_number_of_nodes(monkeypatch):
-    results, calls = _children_calls(monkeypatch, _tree_sweep)
-    assert calls == 7128
+    results, calls = _calls(monkeypatch, _tree_sweep)
+    assert calls["children"] == 7128
     assert all(value >= 0 for value, _ in results)
 
 
