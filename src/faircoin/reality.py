@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .game import parse_moves, spec_args, walk_tree
+from .game import parse_moves, spec_args, validate_move, walk_tree
 
 
 class RealityError(Exception):
@@ -27,7 +27,7 @@ class FixedPath(RealitySource):
     """Replays a given move sequence; errors past its end."""
 
     def __init__(self, moves):
-        self.moves = tuple(moves)
+        self.moves = tuple(validate_move(x, RealityError) for x in moves)
         self._i = 0
 
     def next_move(self, stake) -> int:
@@ -69,9 +69,7 @@ class Greedy(RealitySource):
     """Plays -sign(stake), so Skeptic's single-round gain is never positive."""
 
     def __init__(self, tie: int = -1):
-        if tie not in (-1, 1):
-            raise RealityError(f"tie-break must be -1 or +1, got {tie!r}")
-        self.tie = tie
+        self.tie = validate_move(tie, RealityError)
 
     def next_move(self, stake) -> int:
         if stake > 0:
@@ -101,7 +99,8 @@ def worst_case(strategy, rounds: int, objective: str = "final"):
     # memo entry shares its child's cells instead of copying them
     def expand(strat, n):
         best = best_path = None
-        for x, nxt in zip((-1, 1), strat.children()):
+        _, down, up = strat.children()
+        for x, nxt in ((-1, down), (1, up)):
             wealth = nxt.wealth
             val, path = (wealth, None) if n + 1 == rounds else (yield nxt)
             if objective == "running_min":

@@ -38,10 +38,10 @@ class Strategy:
     ``game.settle_product``, bound as ``_settle`` when the bettor is
     built.  Otherwise ``_den`` is None and they are numbers of the mode.
 
-    One stake step serves every account and every caller, ``children()``
-    included: ``next_stake()`` announces zero while ``stopped`` is set,
-    else ``_stake()``, and changes nothing but ``_pending``.  Only
-    ``__init__`` and ``_after`` set ``stopped``.
+    One stake step serves every account and every caller, the game-tree
+    walks' ``children()`` included: ``next_stake()`` announces zero while
+    ``stopped`` is set, else ``_stake()``, and changes nothing but
+    ``_pending``.  Only ``__init__`` and ``_after`` set ``stopped``.
     """
 
     def __init__(self, initial_capital=Fraction(1), exact: bool = True, den: int | None = None,
@@ -116,19 +116,19 @@ class Strategy:
         new.__dict__.update(self.__dict__)
         return new
 
-    def children(self) -> tuple["Strategy", "Strategy"]:
-        """The two strategies one round on: (after -1, after +1).
+    def children(self) -> tuple[Fraction | float, "Strategy", "Strategy"]:
+        """One round of the protocol: (stake, after -1, after +1).
 
         A clone played one round: ``next_stake()`` once, then ``observe()``
         with each move, so this strategy itself is left untouched.  The
-        value ``next_stake()`` hands out is built and dropped.
+        stake is the value ``next_stake()`` handed out, which settled both.
         """
         down = self.clone()
-        down.next_stake()
+        stake = down.next_stake()
         up = down.clone()
         down.observe(-1)
         up.observe(1)
-        return down, up
+        return stake, down, up
 
     def state_key(self):
         """Hashable full betting state, or None when not re-simulatable

@@ -3,9 +3,10 @@
 Every identity the strategies rely on is re-derived here along an
 arithmetic path independent of the strategy engine (direct products,
 direct sums, direct formulas), and the exhaustive sweeps run the engine
-and the oracle side by side over every move sequence up to a depth.  The
-summation identity and the log bound are each one per-round update,
-folded over a prefix by its oracle and stepped per child by its walk.
+and the oracle side by side over every move sequence up to a depth, in
+one walk that steps each check once per move.  The summation identity
+and the log bound are each one per-round update, folded over a prefix by
+its oracle and stepped per move by its walk.
 In exact mode any nonzero discrepancy is a bug; the only inexact check
 is the logarithmic capital lower bound, which uses floats with a
 conservative slack margin because its slack is bounded away from zero.
@@ -162,17 +163,16 @@ def additive_capital(n, s, eps=Fraction(2)) -> Fraction:
 # exhaustive engine-vs-oracle sweeps
 # ---------------------------------------------------------------------------
 
-_MOVES = (-1, 1)
 _NESTED = (Strategy, list, tuple)  # the values _snapshot copies part by part
 
 
 def _snapshot(v):
-    """A hashable copy of v's complete state.  v is a strategy, a list or
-    a tuple (a walk's node is a tuple): a strategy becomes its type and
-    every attribute but the announced stake, each name followed by its
-    value in one flat tuple (a pair per attribute made the memo 1.7 times
-    larger); a list or tuple becomes a tuple of its elements, each of them
-    snapshotted if it is one of these kinds and kept as itself otherwise.
+    """A hashable copy of v's complete state.  v is a strategy, or a list
+    or tuple held by one: a strategy becomes its type and every attribute
+    but the announced stake, each name followed by its value in one flat
+    tuple (a pair per attribute made the memo 1.7 times larger); a list or
+    tuple becomes a tuple of its elements, each of them snapshotted if it
+    is one of these kinds and kept as itself otherwise.
 
     A Fraction attribute is followed by its numerator and denominator, two
     integers, in place of itself: a Fraction's hash takes a modular
@@ -195,35 +195,43 @@ def _snapshot(v):
     return tuple([_snapshot(x) if isinstance(x, _NESTED) else x for x in v])
 
 
-def _walk(identity: str, depth: int, root, step) -> IdentityReport:
+def _walk(identity: str, depth: int, state: tuple, step, engine=None) -> IdentityReport:
     """Check every move sequence up to ``depth`` by a depth-first ``walk_tree``.
 
-    ``step(node, n)`` yields one ``(failure, child)`` pair per move of
-    _MOVES, in that order, for a node at round n; ``failure`` is None when
-    the child checks out, else the discrepancy to report.  The walk stops
-    at the first failure; ``paths_checked`` counts the full-length paths
-    reached, a failing leaf included.
+    A node is an engine and the check's state, a tuple, at round n.  One
+    ``children()`` call, the protocol's round, expands it into the stake
+    announced and the two clones it settled (all None with no engine);
+    then ``step(state, n, x, stake, child)`` returns ``(failure, state')``
+    for each move x, -1 first.  ``failure`` is None when the child checks
+    out, else the discrepancy to report.  The walk stops at the first
+    failure; ``paths_checked`` counts the full-length paths reached, a
+    failing leaf included.
 
     A node that carries an engine has a future that is a function of its
-    complete state, so it is keyed on its snapshot: a state met again at
-    the same round belongs to a subtree that passed, and the counterexample
-    and counts are those of the plain tree walk.  The oracle-only walks
-    carry path-dependent sums and are not keyed.
+    complete state, so it is keyed on its state followed by the engine's
+    snapshot, one flat tuple: a state met again at the same round belongs
+    to a subtree that passed, and the counterexample and counts are those
+    of the plain tree walk.  The oracle-only walks carry path-dependent
+    sums and are not keyed.
     """
     if depth < 1:
         raise VerifyError("exhaustive depth must be >= 1")
     path = []  # the failing path, leaf move first, built as the walk unwinds
 
     def expand(node, n):
-        for x, (failure, child) in zip(_MOVES, step(node, n)):
+        strat, state = node
+        stake, down, up = (None, None, None) if strat is None else strat.children()
+        for x, child in ((-1, down), (1, up)):
+            failure, after = step(state, n, x, stake, child)
             if failure is None and n + 1 < depth:
-                failure = yield child
+                failure = yield child, after
             if failure is not None:
                 path.append(x)
                 return failure
 
-    key = _snapshot if any(isinstance(v, Strategy) for v in root) else None
-    failure, expanded, hits = walk_tree(root, depth, expand, key, VerifyError, "exhaustive")
+    key = None if engine is None else lambda node: node[1] + _snapshot(node[0])
+    failure, expanded, hits = walk_tree((engine, state), depth, expand, key, VerifyError,
+                                        "exhaustive")
     if failure is None:
         return IdentityReport(identity, 1 << depth, Fraction(0), None, expanded, hits)
     path.reverse()  # -1 is tried first, so each +1 on it skips a finished subtree
@@ -242,9 +250,9 @@ def exhaustive_product_check(c, depth: int) -> IdentityReport:
     At each node the engine's announced stake must also be the paper's
     M_{n+1} = -c * xbar_n * K_n, with K_n the walk's own product; with the
     wealth check this is the protocol's settlement K_{n+1} = K_n + M_{n+1}
-    * x_{n+1}, which the engine's running product does not compute.  Each
-    node is announced once: its children are one announced clone played
-    -1 and +1, so the stake checked is the one that settled them.
+    * x_{n+1}, which the engine's running product does not compute.  The
+    stake checked is the one ``children()`` handed out, which settled the
+    children checked.
 
     The walk keeps K_n unreduced, as an integer pn over pd, the product of
     the factor denominators: pd is the same on every path to a round, so
@@ -255,32 +263,24 @@ def exhaustive_product_check(c, depth: int) -> IdentityReport:
     c = Fraction(c)
     p, q = c.numerator, c.denominator
 
-    def step(node, n):
-        strat, pn, pd, s = node
+    def step(state, n, x, m, child):
+        pn, pd, s = state
         ps, qn = p * s, q * (n or 1)  # c * xbar_n is ps / qn (s is 0 when n is)
         pd2 = pd * qn  # K_{n+1}'s denominator on every path
-        down = strat.clone()  # children() played by hand, to keep the stake
-        m = down.next_stake()
-        up = down.clone()
-        down.observe(-1)
-        up.observe(1)
-        # m == -(ps / qn) * K_n, cross-multiplied
-        stake_ok = m.numerator * pd2 == -ps * pn * m.denominator
-        for x, child in zip(_MOVES, (down, up)):
-            top = qn - ps * x  # the factor 1 - c * xbar_n * x is top / qn
-            pn2 = pn * top
-            wealth = child.wealth
-            if top <= 0:
-                failure = Fraction(1)
-            elif not stake_ok:
-                failure = abs(m + Fraction(ps * pn, pd2))
-            elif wealth.numerator * pd2 != pn2 * wealth.denominator:
-                failure = abs(wealth - Fraction(pn2, pd2))
-            else:
-                failure = None
-            yield failure, (child, pn2, pd2, s + x)
+        top = qn - ps * x  # the factor 1 - c * xbar_n * x is top / qn
+        pn2 = pn * top
+        wealth = child.wealth
+        if top <= 0:
+            failure = Fraction(1)
+        elif m.numerator * pd2 != -ps * pn * m.denominator:  # m == -(ps / qn) * K_n
+            failure = abs(m + Fraction(ps * pn, pd2))
+        elif wealth.numerator * pd2 != pn2 * wealth.denominator:
+            failure = abs(wealth - Fraction(pn2, pd2))
+        else:
+            failure = None
+        return failure, (pn2, pd2, s + x)
 
-    return _walk("product-capital", depth, (MultiplicativeContrarian(c), 1, 1, 0), step)
+    return _walk("product-capital", depth, (1, 1, 0), step, MultiplicativeContrarian(c))
 
 
 def exhaustive_summation_check(depth: int) -> IdentityReport:
@@ -288,13 +288,11 @@ def exhaustive_summation_check(depth: int) -> IdentityReport:
     if depth < 2:
         raise VerifyError("the summation identity needs depth >= 2")
 
-    def step(node, n):
-        for x in _MOVES:
-            child, rhs = _summation_round(node, n, x)
-            yield (_mismatch(child[1], rhs) if n else None), child
+    def step(state, n, x, _stake, _child):
+        state, rhs = _summation_round(state, n, x)
+        return (_mismatch(state[1], rhs) if n else None), state
 
-    return _walk("summation-identity", depth,
-                 (0, Fraction(0), Fraction(0), Fraction(0)), step)
+    return _walk("summation-identity", depth, (0, Fraction(0), Fraction(0), Fraction(0)), step)
 
 
 def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK) -> IdentityReport:
@@ -303,10 +301,9 @@ def exhaustive_log_bound_check(c, depth: int, slack: float = LOG_BOUND_SLACK) ->
         raise VerifyError("the log bound needs depth >= 2")
     cf = _log_bound_c(c)
 
-    def step(node, n):
-        for x in _MOVES:
-            child, margin = _log_bound_round(node, n, x, cf)
-            yield (-margin if n and margin < -slack else None), child
+    def step(state, n, x, _stake, _child):
+        state, margin = _log_bound_round(state, n, x, cf)
+        return (-margin if n and margin < -slack else None), state
 
     return _walk("log-lower-bound", depth, (0, 0.0, 0.0, 0.0), step)
 
@@ -315,12 +312,11 @@ def exhaustive_additive_check(eps, depth: int) -> IdentityReport:
     """Engine capital of the unstopped additive bettor == (eps/2)(n - s^2)."""
     eps = Fraction(eps)
 
-    def step(node, n):
-        strat, s = node
-        for x, child in zip(_MOVES, strat.children()):
-            yield _mismatch(child.gain, additive_capital(n + 1, s + x, eps)), (child, s + x)
+    def step(state, n, x, _stake, child):
+        s = state[0] + x
+        return _mismatch(child.gain, additive_capital(n + 1, s, eps)), (s,)
 
-    return _walk("additive-closed-form", depth, (AdditiveContrarian(eps), 0), step)
+    return _walk("additive-closed-form", depth, (0,), step, AdditiveContrarian(eps))
 
 
 def exhaustive_stopped_additive_check(eps, depth: int) -> IdentityReport:
@@ -329,33 +325,32 @@ def exhaustive_stopped_additive_check(eps, depth: int) -> IdentityReport:
     root = StoppedAdditive(eps)
     m = int(2 / eps)  # an integer, or the constructor above had refused eps
 
-    def step(node, n):
-        strat, s, stopped = node
+    def step(state, n, x, _stake, child):
+        s, stopped = state
         # the guard for round n + 1 reads s_n: (|s_n| + 1)^2 <= n + 1 + m
         stopped = stopped or (abs(s) + 1) ** 2 > n + 1 + m
-        for x, child in zip(_MOVES, strat.children()):
-            failure = -child.wealth if child.wealth < 0 else None
-            if failure is None and not stopped:
-                failure = _mismatch(child.gain, additive_capital(n + 1, s + x, eps))
-            yield failure, (child, s + x, stopped)
+        failure = -child.wealth if child.wealth < 0 else None
+        if failure is None and not stopped:
+            failure = _mismatch(child.gain, additive_capital(n + 1, s + x, eps))
+        return failure, (s + x, stopped)
 
-    return _walk("stopped-additive-collateral", depth, (root, 0, False), step)
+    return _walk("stopped-additive-collateral", depth, (0, False), step, root)
 
 
 def exhaustive_one_sided_check(N: int, direction: str, depth: int) -> IdentityReport:
     """One-sided capital: +-s_n/N before the hit, -1 at and after; wealth >= 0."""
     sign = 1 if direction == "down" else -1
 
-    def step(node, n):
-        strat, s, hit = node
-        for x, child in zip(_MOVES, strat.children()):
-            hit2 = hit or sign * (s + x) <= -N
-            expect = Fraction(-1) if hit2 else Fraction(sign * (s + x), N)
-            bad = child.gain != expect or child.wealth < 0
-            yield (abs(child.gain - expect) if bad else None), (child, s + x, hit2)
+    def step(state, n, x, _stake, child):
+        s, hit = state
+        s += x
+        hit = hit or sign * s <= -N
+        expect = Fraction(-1) if hit else Fraction(sign * s, N)
+        bad = child.gain != expect or child.wealth < 0
+        return (abs(child.gain - expect) if bad else None), (s, hit)
 
-    return _walk(f"one-sided-capital-{direction}-{N}", depth,
-                 (OneSided(N, direction), 0, False), step)
+    return _walk(f"one-sided-capital-{direction}-{N}", depth, (0, False), step,
+                 OneSided(N, direction))
 
 
 # check name -> (walk, the parameters it takes with their defaults)

@@ -76,7 +76,8 @@ def mixture_denominator_too_small(patch):
 
 
 def snapshot_never_merges(patch):
-    patch.setattr(verify, "_snapshot", lambda v: None)
+    # a fresh object in the key: a walk's key is its state plus the snapshot
+    patch.setattr(verify, "_snapshot", lambda v: (object(),))
 
 
 def snapshot_keeps_only_numerators(patch):
@@ -99,11 +100,24 @@ def mulc_key_without_the_denominator(patch):
 def children_announce_a_zero_stake(patch):
     def mutant(self):
         down = self.clone()
-        down._pending = type(down._w0)()
+        down._pending = stake = type(down._w0)()
         up = down.clone()
         down.observe(-1)
         up.observe(1)
-        return down, up
+        return stake, down, up
+    patch.setattr(Strategy, "children", mutant)
+
+
+def children_hand_out_the_pending_stake(patch):
+    # a product account pends the ratio r of its wealth W and hands out r * W
+    def mutant(self):
+        down = self.clone()
+        down.next_stake()
+        stake = down._pending
+        up = down.clone()
+        down.observe(-1)
+        up.observe(1)
+        return stake, down, up
     patch.setattr(Strategy, "children", mutant)
 
 
@@ -297,6 +311,7 @@ MUTANTS = [
     (snapshot_keeps_only_numerators, mulc_snapshots_are_sound),
     (mulc_key_without_the_denominator, mulc_state_keys_are_sound),
     (children_announce_a_zero_stake, additive_closed_form),
+    (children_hand_out_the_pending_stake, product_capital_walk),
     (mixture_key_drops_a_component, mixture_worst_case_is_the_plain_minimax),
     (mulc_stake_swaps_c, product_capital_walk),
     (product_factor_flips_the_move, product_capital_walk),

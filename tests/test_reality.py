@@ -3,6 +3,7 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -40,6 +41,8 @@ def test_fixed_path_replays_and_exhausts():
     assert src.next_move(Fraction(0)) == -1
     with pytest.raises(RealityError):
         src.next_move(Fraction(0))
+    with pytest.raises(RealityError):  # refused when built, not when round 2 is played
+        FixedPath([1, 0])
 
 
 def test_alternating():
@@ -62,8 +65,10 @@ def test_greedy_sign_rule():
     assert g.next_move(Fraction(-2)) == 1
     assert g.next_move(Fraction(0)) == -1
     assert Greedy(tie=1).next_move(Fraction(0)) == 1
-    with pytest.raises(RealityError):
-        Greedy(tie=0)
+    assert Greedy(tie=np.int64(1)).tie == 1
+    for tie in (0, True, 1.0):  # True and 1.0 equal 1, but are no move
+        with pytest.raises(RealityError):
+            Greedy(tie=tie)
 
 
 def test_greedy_never_gives_positive_gain():
@@ -151,7 +156,8 @@ def test_worst_case_path_agrees_with_a_fresh_search_from_every_prefix(make, obje
     node = make()
     for k in range(rounds):
         assert worst_case(node, rounds - k, objective=objective)[1] == path[k:], k
-        node = node.children()[path[k] == 1]
+        _, down, up = node.children()
+        node = up if path[k] == 1 else down
 
 
 def plain_minimax(strat, rounds, objective):
@@ -159,7 +165,8 @@ def plain_minimax(strat, rounds, objective):
     if rounds == 0:
         return strat.wealth, ()
     best = None
-    for x, nxt in zip((-1, 1), strat.children()):
+    _, down, up = strat.children()
+    for x, nxt in ((-1, down), (1, up)):
         val, path = plain_minimax(nxt, rounds - 1, objective)
         if objective == "running_min":
             val = min(val, nxt.wealth)

@@ -530,9 +530,9 @@ def test_children_leave_the_parent_and_match_a_replay(make, moves):
     parent = make()
     feed(parent, moves)
     before = _state(parent)
-    children = parent.children()
+    _, down, up = parent.children()
     assert _state(parent) == before
-    for x, child in zip((-1, 1), children):
+    for x, child in ((-1, down), (1, up)):
         replay = make()
         feed(replay, moves + [x])
         assert _state(child) == _state(replay)
@@ -694,7 +694,7 @@ def tree_states(root, depth):
     """The states of root's game tree, one list per round 0..depth."""
     rounds = [[root]]
     for _ in range(depth):
-        rounds.append([child for strat in rounds[-1] for child in strat.children()])
+        rounds.append([child for strat in rounds[-1] for child in strat.children()[1:]])
     return rounds
 
 
@@ -736,7 +736,7 @@ def test_a_hedging_signforce_snapshot_hashes():
 def test_exact_mulc_children_are_the_product():
     strat = MultiplicativeContrarian(Fraction(1, 2))
     feed(strat, [1, 1, -1])
-    down, up = strat.children()
+    _, down, up = strat.children()
     assert [child.wealth for child in (down, up)] == [
         product_capital([1, 1, -1, x], Fraction(1, 2)) for x in (-1, 1)]
 
@@ -750,8 +750,10 @@ def test_children_are_a_clone_played_one_round(spec, exact):
             played = []
             for x in (-1, 1):
                 clone = strat.clone()
-                clone.next_stake()
+                stake = clone.next_stake()
                 clone.observe(x)
                 played.append(by_value(clone))
-            assert [by_value(child) for child in strat.children()] == played
+            handed_out, down, up = strat.children()
+            assert type(handed_out) is type(stake) and handed_out == stake
+            assert [by_value(down), by_value(up)] == played
             assert by_value(strat) == before

@@ -205,25 +205,29 @@ def test_failing_walk_counts_only_the_paths_it_checked(monkeypatch, broken, fail
 
 # -- the memoised walk against a plain tree walk -----------------------------
 
-def tree_walk(identity, depth, root, step):
-    """The oracle: every node of the 2**depth tree, no merging."""
+def tree_walk(identity, depth, state, step, engine=None):
+    """The oracle: every node of the 2**depth tree, no merging.  Each node
+    is expanded as _walk expands it, by one children() call of its engine
+    and one step() per move."""
     leaves = 0
     path = [0] * depth
 
-    def rec(node, n):
+    def rec(strat, state, n):
         nonlocal leaves
         leaf = n + 1 == depth
-        for x, (failure, child) in zip((-1, 1), step(node, n)):
+        stake, down, up = (None, None, None) if strat is None else strat.children()
+        for x, child in ((-1, down), (1, up)):
+            failure, after = step(state, n, x, stake, child)
             path[n] = x
             leaves += leaf
             if failure is not None:
                 del path[n + 1:]
                 return failure
-            if not leaf and (failure := rec(child, n + 1)) is not None:
+            if not leaf and (failure := rec(child, after, n + 1)) is not None:
                 return failure
         return None
 
-    failure = rec(root, 0)
+    failure = rec(engine, state, 0)
     if failure is None:
         return verify.IdentityReport(identity, leaves, Fraction(0))
     return verify.IdentityReport(identity, leaves, failure, tuple(path))
@@ -317,16 +321,15 @@ def test_path_dependence_hidden_in_an_attribute_is_caught(monkeypatch, engine, c
     # a memo keyed on the hand-written state_key reaches each (n, s) first by
     # a path with no +1 -> -1 turn, merges every turning path into it and
     # misses the bug: the key must be the complete state
-    monkeypatch.setattr(verify, "_snapshot", lambda node: tuple(
-        v.state_key() if isinstance(v, Strategy) else v for v in node))
+    monkeypatch.setattr(verify, "_snapshot", lambda strat: strat.state_key())
     assert check(8).passed
 
 
 def _calls(monkeypatch, walk):
     """walk()'s result and its calls of Strategy.children and of
     Strategy.next_stake.  A walk expands an engine node with one
-    children() call, which plays a clone through one next_stake(); the
-    product walk plays that clone itself, to keep the stake it checks."""
+    children() call, which plays a clone through one next_stake() and
+    hands out its stake; the oracle-only walks call neither."""
     calls = {"children": 0, "next_stake": 0}
     for name in calls:
         def counting(self, _name=name, _method=getattr(Strategy, name)):
@@ -346,20 +349,20 @@ def test_equal_states_are_walked_once(monkeypatch):
     assert report.memo_hits == 105
 
 
-@pytest.mark.parametrize("walk, children, nodes, hits", [
-    (lambda: exhaustive_product_check(Fraction(1, 2), 13), 0, 3595, 200),
-    (lambda: worst_case(MultiplicativeContrarian(Fraction(1, 2)), 12), 1897, 1897, None),
-    (lambda: exhaustive_product_check(Fraction(1, 3), 12), 0, 1809, 82),
-    (lambda: exhaustive_product_check(Fraction(2, 5), 12), 0, 1911, 64),
-    (lambda: exhaustive_product_check(Fraction(1, 2), 12), 0, 1897, 66),
+@pytest.mark.parametrize("walk, nodes, hits", [
+    (lambda: exhaustive_product_check(Fraction(1, 2), 13), 3595, 200),
+    (lambda: worst_case(MultiplicativeContrarian(Fraction(1, 2)), 12), 1897, None),
+    (lambda: exhaustive_product_check(Fraction(1, 3), 12), 1809, 82),
+    (lambda: exhaustive_product_check(Fraction(2, 5), 12), 1911, 64),
+    (lambda: exhaustive_product_check(Fraction(1, 2), 12), 1897, 66),
 ], ids=["product-capital-13", "mulc-worst-case-12", "product-capital-12-c=1/3",
         "product-capital-12-c=2/5", "product-capital-12-c=1/2"])
-def test_mulc_walks_expand_a_pinned_number_of_nodes(monkeypatch, walk, children, nodes, hits):
+def test_mulc_walks_expand_a_pinned_number_of_nodes(monkeypatch, walk, nodes, hits):
     # mulc's gain tells apart most paths; the merges left (snapshot in the
     # product walk, state_key in worst_case) must all still happen.  Each
-    # expanded node announces one stake; the product walk calls no children()
+    # expanded node is one children() call, which announces one stake
     result, calls = _calls(monkeypatch, walk)
-    assert calls == {"children": children, "next_stake": nodes}
+    assert calls == {"children": nodes, "next_stake": nodes}
     if hits is not None:  # worst_case hands out no counts yet
         assert result.passed and (result.nodes_expanded, result.memo_hits) == (nodes, hits)
 
