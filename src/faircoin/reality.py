@@ -10,6 +10,7 @@ sequence minimizing Skeptic's final wealth, given the strategy's declared
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 
 from .game import parse_moves, spec_args, validate_move, walk_tree
 
@@ -79,21 +80,38 @@ class Greedy(RealitySource):
         return self.tie
 
 
-def worst_case(strategy, rounds: int, objective: str = "final"):
+class WorstCase(tuple):
+    """The pair (value, path) that ``worst_case`` returns, with its walk's
+    counts as ``verify.IdentityReport`` names them: ``nodes_expanded`` and
+    ``memo_hits``."""
+
+    def __new__(cls, value, path: tuple[int, ...], nodes_expanded: int, memo_hits: int):
+        self = super().__new__(cls, (value, path))
+        self.nodes_expanded, self.memo_hits = nodes_expanded, memo_hits
+        return self
+
+
+def worst_case(strategy, rounds: int, objective: str = "final") -> WorstCase:
     """Exhaustive adversarial value of a strategy over ``rounds`` moves.
 
     Returns (value, path) minimizing Skeptic's final wealth
     (objective="final") or the running minimum of wealth over the play-out
-    (objective="running_min").  The strategy instance is not mutated.
-    The search is a ``walk_tree`` fold keyed on the strategy's state_key;
-    ties prefer the -1 move.
+    (objective="running_min"), as a ``WorstCase`` that also carries the
+    search's counts.  The strategy instance is not mutated.  The search is
+    a ``walk_tree`` fold keyed on the strategy's state_key; ties prefer the
+    -1 move.  Every node is a clone of the root, so an account of integer
+    numerators over the root's ``_den`` is folded on ``_numerator()`` and
+    its value built once, at the end, as ``wealth`` builds it; other
+    accounts fold on ``wealth``.
     """
     if rounds < 0:
         raise RealityError(f"minimax depth must be >= 0, got {rounds}")
     if objective not in ("final", "running_min"):
         raise RealityError(f"unknown objective {objective!r}")
     if rounds == 0:
-        return strategy.wealth, ()
+        return WorstCase(strategy.wealth, (), 0, 0)
+    den = strategy._den
+    account = type(strategy)._numerator if den else attrgetter("wealth")
 
     # a path is a linked list of (move, rest) cells, None at its end, so a
     # memo entry shares its child's cells instead of copying them
@@ -101,7 +119,7 @@ def worst_case(strategy, rounds: int, objective: str = "final"):
         best = best_path = None
         _, down, up = strat.children()
         for x, nxt in ((-1, down), (1, up)):
-            wealth = nxt.wealth
+            wealth = account(nxt)
             val, path = (wealth, None) if n + 1 == rounds else (yield nxt)
             if objective == "running_min":
                 val = min(val, wealth)
@@ -109,13 +127,13 @@ def worst_case(strategy, rounds: int, objective: str = "final"):
                 best, best_path = val, (x, path)
         return best, best_path
 
-    (value, cell), _, _ = walk_tree(strategy, rounds, expand, lambda strat: strat.state_key(),
-                                     RealityError, "minimax")
+    (value, cell), expanded, hits = walk_tree(
+        strategy, rounds, expand, lambda strat: strat.state_key(), RealityError, "minimax")
     path = []
     while cell is not None:
         x, cell = cell
         path.append(x)
-    return value, tuple(path)
+    return WorstCase(strategy._value(value) if den else value, tuple(path), expanded, hits)
 
 
 class Minimax(RealitySource):
@@ -125,25 +143,28 @@ class Minimax(RealitySource):
     (``mirror``), then plays that path back.  The mirror is kept in
     lockstep with the play, and each announced stake is checked against
     it, so the searched opponent really is the strategy being played.
+    ``search`` is that search's ``WorstCase``, counts included, from the
+    first move on.
     """
 
     def __init__(self, strategy_factory, horizon: int):
         self.horizon = horizon
         self.mirror = strategy_factory()
-        self._path = None
+        self.search = None
 
     def next_move(self, stake) -> int:
         n = self.mirror.n  # the rounds played so far
         if n >= self.horizon:
             raise RealityError(f"minimax asked for move {n + 1} past its horizon {self.horizon}")
-        if self._path is None:
-            _, self._path = worst_case(self.mirror, self.horizon)
+        if self.search is None:
+            self.search = worst_case(self.mirror, self.horizon)
         expected = self.mirror.next_stake()
         if expected != stake:
             raise RealityError(
                 f"minimax mirror desynchronized: strategy bet {stake}, mirror {expected}")
-        self.mirror.observe(self._path[n])
-        return self._path[n]
+        x = self.search[1][n]
+        self.mirror.observe(x)
+        return x
 
 
 def parse_reality(spec: str, strategy_factory=None, horizon: int | None = None) -> RealitySource:

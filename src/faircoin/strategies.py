@@ -31,7 +31,9 @@ class Strategy:
     exact bettor whose stakes are integers over a ``den`` fixed at
     construction keeps ``_k``, ``_w0`` and ``_stake()`` as integer
     numerators over ``_den``; a Fraction is built only for a value handed
-    out.  An exact bettor built with ``product=True`` stakes a ratio of its
+    out.  ``_numerator()`` reads such an account, ``_w0 + _k``, for
+    ``reality.worst_case``'s fold; ``wealth`` does not call it, so a check
+    can patch one and compare against the other.  An exact bettor built with ``product=True`` stakes a ratio of its
     wealth and keeps the wealth itself in ``_k``, a running product, with
     ``_den`` 0: ``_stake()`` returns the ratio r, ``next_stake()``
     announces r times the wealth, and ``observe()`` settles through
@@ -73,6 +75,10 @@ class Strategy:
         if den > 1:
             return Fraction(num, den)
         return Fraction(num) if den else num * self._k  # Fraction(num) takes no gcd
+
+    def _numerator(self):
+        """The account over ``_den`` of a bettor that keeps integer numerators."""
+        return self._w0 + self._k
 
     @property
     def initial_capital(self):

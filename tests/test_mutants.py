@@ -49,6 +49,10 @@ def stopadd_key_without_its_account(patch):
                   lambda self: ("stopadd", self.m, self.s, self.stopped))
 
 
+def worst_case_fold_drops_the_initial_capital(patch):
+    patch.setattr(Strategy, "_numerator", lambda self: self._k)
+
+
 def _stop_guard_shifted(patch, rounds, offset):
     """StoppedAdditive's guard as boundary_exceeds(n + 1, s, m), with
     ``rounds`` added to its round and ``offset`` to its offset."""
@@ -302,6 +306,7 @@ MUTANTS = [
     (observe_drops_the_numerator_on_up, additive_closed_form),
     (observe_drops_the_numerator_on_up, one_sided_capital),
     (stopadd_key_without_its_account, worst_case_is_the_plain_minimax),
+    (worst_case_fold_drops_the_initial_capital, worst_case_is_the_plain_minimax),
     (stop_guard_one_round_late, stopped_additive_collateral),
     (stop_guard_offset_m_plus_one, stopped_additive_collateral_eps_2),
     (gain_ignores_the_denominator, additive_closed_form),

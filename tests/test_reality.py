@@ -88,7 +88,8 @@ def test_worst_case_objectives_and_caps(monkeypatch):
     assert val_min <= val_final
     # the zero bettor's one state_key merges each level to one state
     monkeypatch.setattr(game, "STATE_BUDGET", 4)
-    assert worst_case(ZeroStrategy(), 4)[0] == 1
+    value = worst_case(ZeroStrategy(), 4)[0]
+    assert (type(value), value) == (Fraction, 1)
     with pytest.raises(RealityError, match="over the state budget 4"):
         worst_case(ZeroStrategy(), 5)
     with pytest.raises(RealityError):
@@ -101,7 +102,24 @@ def test_worst_case_at_depth_zero_is_the_wealth_now():
     strat = OneSided(2)
     strat.next_stake()
     strat.observe(-1)
-    assert worst_case(strat, 0) == (strat.wealth, ()) == (Fraction(1, 2), ())
+    result = worst_case(strat, 0)
+    assert result == (strat.wealth, ()) == (Fraction(1, 2), ())
+    assert type(result[0]) is Fraction and (result.nodes_expanded, result.memo_hits) == (0, 0)
+    mulc = MultiplicativeContrarian(Fraction(1, 2))  # a product account hands out its _k
+    assert worst_case(mulc, 0)[0] is mulc.wealth
+
+
+def test_worst_case_value_is_built_as_wealth_builds_it():
+    # an integer account is folded on numerators over _den; the value handed
+    # out is the one Fraction wealth would build from the best numerator
+    value, _ = worst_case(parse_strategy("pathbet:target=+-+,budget=1/8"), 3)
+    assert value is game.ZERO  # wiped out by the first miss
+    strat = StoppedAdditive(Fraction(1, 8))
+    assert strat._den == 8
+    for objective in ("final", "running_min"):
+        value, path = worst_case(StoppedAdditive(Fraction(1, 8)), 6, objective=objective)
+        want, want_path = plain_minimax(strat, 6, objective)
+        assert (type(value), value, value.denominator, path) == (Fraction, want, 4, want_path)
 
 
 def test_parse_reality_refuses_a_negative_minimax_depth():
@@ -244,10 +262,15 @@ def test_minimax_searches_once_per_game(monkeypatch):
         return StoppedAdditive(Fraction(1, 2))
 
     monkeypatch.setattr(reality, "worst_case", counting)
-    for horizon in (1, 6):
+    for horizon, nodes, hits in ((1, 1, 0), (6, 30, 11)):
         calls.clear()
-        run_game(make(), Minimax(make, horizon), horizon)
+        source = Minimax(make, horizon)
+        assert source.search is None
+        run_game(make(), source, horizon)
         assert calls == [horizon]  # one search, over the whole game
+        # the source keeps that search, with its counts
+        assert source.search == worst_case(make(), horizon)
+        assert (source.search.nodes_expanded, source.search.memo_hits) == (nodes, hits)
 
 
 def test_minimax_desync_detection():
