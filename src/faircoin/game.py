@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from typing import IO, NamedTuple
 
 
@@ -296,11 +295,17 @@ def fmt_number(v) -> str:
     return repr(float(v))
 
 
-def fmt_dyadic(num: int, bits: int) -> str:
-    """fmt_number(Fraction(num, 2**bits)) without building the Fraction:
+def lowest_dyadic(num: int, bits: int) -> tuple[int, int]:
+    """num / 2**bits in lowest terms, as (num', bits') with num' / 2**bits':
     the common factors of two are shifted out, so no gcd is taken."""
     z = min((num & -num).bit_length() - 1, bits) if num else bits
-    return _fmt_ratio(num >> z, _pow2_text(bits - z))
+    return num >> z, bits - z
+
+
+def fmt_dyadic(num: int, bits: int) -> str:
+    """fmt_number(Fraction(num, 2**bits)) without building the Fraction."""
+    num, bits = lowest_dyadic(num, bits)
+    return _fmt_ratio(num, _pow2_text(bits))
 
 
 def _fmt_ratio(num: int, den: int | str) -> str:
@@ -313,9 +318,9 @@ def _fmt_ratio(num: int, den: int | str) -> str:
         return f"{Decimal(num)}/{Decimal(den)}"
 
 
-@lru_cache(maxsize=8)  # a price series repeats a few neighbouring denominators
 def _pow2_text(k: int) -> str:
-    """The decimal digits of 2**k, by way of Decimal, which has no digit limit."""
+    """The decimal digits of 2**k, by way of Decimal, which has no digit
+    limit; a price series builds its powers of two its own way."""
     return str(Decimal(1 << k))
 
 

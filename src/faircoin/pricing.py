@@ -13,25 +13,35 @@ the replication check share one forward sweep of path counts
 integer numerators against a per-level power-of-two scale, so nothing is
 ever rounded.
 
-Infinite-horizon upper prices are represented as brackets: the backward
-induction is run once with tail value 0 and once with tail value 1 at the
-truncation horizon, each run holding one level at a time; the true price
-lies between the two roots, and the gap is exactly the still-live
-probability mass at the horizon.  A bracket is stored the same way, as
-two integer numerators over one power-of-two scale: it builds its
-Fractions only when they are read, and prints straight from the
-integers, so a long series takes no gcd.
+The strip is symmetric under s -> -s, and no walk is absorbed at s = 0,
+since |0| > sqrt(n + l) - 1 would need n + l < 1.  So each absorbed path's
+mirror is absorbed at the same round on the other side: at every round
+the paths absorbed below equal those absorbed above, and the forward sweep
+carries only the states s <= 0.  The mirror of a path that ends live at
+the horizon is live too, so the one-tail table is the mirrored complement
+of the zero-tail one, V_one(n, s) = 1 - V_zero(n, -s).
+
+Infinite-horizon upper prices are represented as brackets: the true price
+lies between the roots of the backward inductions with tail value 0 and
+with tail value 1 at the truncation horizon, and the gap is exactly the
+still-live probability mass at the horizon.  By the reflection the upper
+root is 1 minus the lower one, so a bracket runs the zero-tail induction
+alone, holding one level at a time.  A bracket is stored as the lower
+root's integer numerator over a power-of-two scale: it builds its
+Fractions only when they are read, and prints straight from the integer,
+so a long series takes no gcd.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
-from .game import fmt_dyadic
+from .game import fmt_dyadic, lowest_dyadic
 from .stopping import boundary_exceeds
 
 _TAIL_NUMS = {"zero": 0, "one": 2, "half": 1}  # tail values as numerators at scale 2**1
@@ -66,19 +76,23 @@ def _strip_widths(l: int, horizon: int) -> list[int]:
 
 
 def _absorption_sweep(l: int, horizon: int):
-    """Yield (counts, new_neg, new_pos) for n = 1..horizon: counts[i] paths
-    reach the live state (n - 1, 2i - w_{n-1}), indexed as the table levels
-    are, and new_neg and new_pos of the 2**n paths are first absorbed at
-    round n below and above the strip."""
+    """Yield (half, edge) for n = 1..horizon: half[i] paths reach the live
+    state (n - 1, 2i - w_{n-1}) for each live s <= 0, indexed as the table
+    levels are, and edge of the 2**n paths are first absorbed at round n
+    below the strip, as many as above it (see the module docstring)."""
     widths = _strip_widths(l, horizon)
-    counts = [1]
+    half = [1]
     for n in range(1, horizon + 1):
-        if widths[n] > widths[n - 1]:  # every child is live
-            yield counts, 0, 0
-            counts = [0, *counts, 0]
+        w = widths[n - 1]
+        if widths[n] > w:  # every child is live
+            yield half, 0
+            half = [0, *half]
         else:  # the outermost states each lose one child
-            yield (counts, counts[0], counts[-1]) if counts else (counts, 0, 0)
-        counts = [a + b for a, b in zip(counts, counts[1:])]
+            yield half, half[0] if half else 0
+        nxt = [a + b for a, b in zip(half, half[1:])]
+        if w % 2 and half:  # no state at s = 0: the one next to it also takes its mirror's paths
+            nxt.append(2 * half[-1])
+        half = nxt
 
 
 @dataclass(frozen=True)
@@ -185,16 +199,38 @@ def delta_hedge_bet(table: EtaTable, n: int, s: int) -> Fraction:
     return Fraction(up - down, 2 << table._scale_bits(n + 1))
 
 
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)  # Decimal integer arithmetic, never rounded
+
+
+class _Powers2:
+    """2**k as exact Decimals for the nearby k of one series, each made from
+    the last by a small multiply or an exact divide: Decimal(1 << k) costs
+    as much as str() of a number that size."""
+
+    def __init__(self):
+        self._k, self._power = 0, Decimal(1)
+
+    def __call__(self, k: int) -> Decimal:
+        d, self._k = k - self._k, k
+        self._power = (_EXACT.multiply(self._power, 1 << d) if d >= 0
+                       else _EXACT.divide(self._power, 1 << -d))
+        return self._power
+
+
 @dataclass(frozen=True, repr=False)
 class PriceBracket:
     """Bracket [lower, upper] around the ticket's upper price at the root,
-    as the numerators lower_num and upper_num over 2**(horizon + 1), the
-    scale of a value table's root."""
+    as the numerator lower_num over 2**(horizon + 1), the scale of a value
+    table's root.  The reflection makes upper = 1 - lower, so upper_num is
+    derived and a bracket cannot be built asymmetric."""
 
     l: int
     horizon: int
     lower_num: int
-    upper_num: int
+
+    @property
+    def upper_num(self) -> int:
+        return (2 << self.horizon) - self.lower_num
 
     # each Fraction is built on first read and kept: a gcd per value, once
     @cached_property
@@ -222,52 +258,65 @@ class PriceBracket:
         if given, is the ``_json_values()`` text of an equal bracket."""
         return f'{{"l": {self.l}, "horizon": {self.horizon}, {values or self._json_values()}}}\n'
 
-    def _json_values(self) -> str:
-        bits = self.horizon + 1
-        return (f'"lower": "{fmt_dyadic(self.lower_num, bits)}", '
-                f'"upper": "{fmt_dyadic(self.upper_num, bits)}", '
-                f'"live_mass": "{fmt_dyadic(self.upper_num - self.lower_num, bits)}"')
+    def _json_values(self, powers: _Powers2 | None = None) -> str:
+        """The "lower", "upper" and "live_mass" members of json_line(), each
+        formatted from its own numerator.  Given the ``powers`` of a series,
+        only lower's odd numerator L over 2**k is converted to decimal
+        instead: upper is (2**k - L)/2**k and live_mass (2**(k-1) - L)/2**(k-1),
+        both in lowest terms for k >= 2, got by Decimal subtraction from the
+        denominators the line prints anyway."""
+        num, bits = self.lower_num, self.horizon + 1
+        odd, k = lowest_dyadic(num, bits)
+        if powers is None or k < 2:  # k < 2: lower is 0 or 1/2
+            return (f'"lower": "{fmt_dyadic(num, bits)}", '
+                    f'"upper": "{fmt_dyadic(self.upper_num, bits)}", '
+                    f'"live_mass": "{fmt_dyadic(self.upper_num - num, bits)}"')
+        lower, half = Decimal(odd), powers(k - 1)  # Decimal() has no digit limit
+        whole = _EXACT.add(half, half)
+        return (f'"lower": "{lower}/{whole}", '
+                f'"upper": "{_EXACT.subtract(whole, lower)}/{whole}", '
+                f'"live_mass": "{_EXACT.subtract(half, lower)}/{half}"')
 
 
 def upper_price_bracket(l: int, horizon: int) -> PriceBracket:
     """Finite-horizon bracket around the ticket's upper price at the root:
-    the roots of the zero-tail and one-tail backward inductions, each run
-    holding one level of its table at a time."""
+    the root of the zero-tail backward induction, run holding one level of
+    its table at a time, and 1 minus it, the one-tail root by the
+    reflection."""
     if horizon < 1:
         raise PricingError("horizon must be >= 1")
-    widths = _strip_widths(l, horizon)
-    lower, upper = (deque(_backward_levels(widths, _TAIL_NUMS[tail]), maxlen=1)[0][0]
-                    for tail in ("zero", "one"))
-    return PriceBracket(l, horizon, lower, upper)
+    levels = _backward_levels(_strip_widths(l, horizon), _TAIL_NUMS["zero"])
+    return PriceBracket(l, horizon, deque(levels, maxlen=1)[0][0])
 
 
 def bracket_series(l: int, horizon: int) -> list[PriceBracket]:
     """Brackets for every horizon 1..horizon from one forward mass sweep.
 
     The lower root value at horizon h equals the negative-absorption mass
-    accumulated by h, and the upper value is 1 minus the positive mass, so
-    a single forward pass over the live strip yields the whole series.
+    accumulated by h, and the upper value is 1 minus the positive mass,
+    which by the reflection is the negative one, so a single forward pass
+    over half the live strip yields the whole series.
     """
     if horizon < 1:
         raise PricingError("horizon must be >= 1")
     out: list[PriceBracket] = []
-    # the negative mass and 1 minus the positive mass, at scale 2**(n + 1)
-    neg, upper = 0, 2
-    for n, (_, new_neg, new_pos) in enumerate(_absorption_sweep(l, horizon), start=1):
-        neg = 2 * (neg + new_neg)
-        upper = 2 * (upper - new_pos)
-        out.append(PriceBracket(l, n, neg, upper))
+    neg = 0  # the negative mass at scale 2**(n + 1)
+    for n, (_, edge) in enumerate(_absorption_sweep(l, horizon), start=1):
+        neg = 2 * (neg + edge)
+        out.append(PriceBracket(l, n, neg))
     return out
 
 
 def series_json_lines(l: int, horizon: int):
     """The json_line() of each bracket of bracket_series(l, horizon).  A
-    round that absorbs nothing doubles both numerators and the scale, so
-    its bracket equals the one before and reuses that line's values."""
+    round that absorbs nothing doubles the numerator and the scale, so its
+    bracket equals the one before and reuses that line's values; the
+    others share one run of Decimal powers of two."""
+    powers = _Powers2()
     prev = None
     for b in bracket_series(l, horizon):
-        if prev is None or b.lower_num != 2 * prev.lower_num or b.upper_num != 2 * prev.upper_num:
-            values = b._json_values()
+        if prev is None or b.lower_num != 2 * prev.lower_num:
+            values = b._json_values(powers)
         yield b.json_line(values)
         prev = b
 
@@ -304,7 +353,7 @@ def enumerate_absorption(l: int, k: int) -> AbsorptionCensus:
     """
     if k < 1:
         raise PricingError("census depth must be >= 1")
-    return AbsorptionCensus(l=l, k=k, a=tuple(neg for _, neg, _ in _absorption_sweep(l, k)))
+    return AbsorptionCensus(l=l, k=k, a=tuple(edge for _, edge in _absorption_sweep(l, k)))
 
 
 def replicate_and_verify(l: int, horizon: int) -> dict:
@@ -332,8 +381,9 @@ def replicate_and_verify(l: int, horizon: int) -> dict:
     live = hedge_states = 1  # live paths at round n, and at rounds 0..n
     absorbed = 0
     portfolio_nodes = 3  # the root and its two children
-    for n, (counts, new_neg, new_pos) in enumerate(_absorption_sweep(l, horizon)):
+    for n, (half, edge) in enumerate(_absorption_sweep(l, horizon)):
         w, bits = one._widths[n], horizon - n + 1
+        counts = half + (half[::-1] if w % 2 else half[-2::-1])  # every live state
         for i, paths in enumerate(counts):
             s = 2 * i - w
             for table in (one, zero):
@@ -348,9 +398,9 @@ def replicate_and_verify(l: int, horizon: int) -> dict:
                                            f"at (n={n + 1}, s={s + x})")
             if n and zero._levels[n][i]:  # an absorbed-negative state lies below
                 portfolio_nodes += 2 * paths
-        a.append(new_neg)
-        absorbed += new_neg + new_pos
-        live = 2 * live - new_neg - new_pos
+        a.append(edge)
+        absorbed += 2 * edge
+        live = 2 * (live - edge)
         hedge_states += live
     if zero.root_value != AbsorptionCensus(l, horizon, tuple(a)).budget_sum:
         raise PricingError("portfolio cost disagrees with absorption census")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from faircoin import game
+from faircoin import game, pricing
 from faircoin.cli import main
 from faircoin.game import GameTrace, fmt_number
 from faircoin.pricing import PriceBracket, eta_table
@@ -222,15 +222,20 @@ def test_price_lines_are_json_dumps_of_the_table_roots(capsys):
 
 def test_bracket_line_past_the_int_digit_limit():
     # 2**15001 has 4,516 decimal digits, past str(int)'s default limit of
-    # 4,300, so both renderings take the Decimal route
+    # 4,300: json_line() and json.dumps of fmt_number take the Decimal
+    # route, and so does a series line, here through one run of powers of
+    # two going up and down as a series' do
     horizon = 15000
     den = Fraction(1, 2 << horizon)
-    for lower_num, upper_num in [((1 << 14999) + 12345, (3 << 14999) - 1),
-                                 (3 << 20, (1 << 15001) - (3 << 20)),
-                                 (0, 2 << horizon)]:
-        b = PriceBracket(7, horizon, lower_num, upper_num)
-        assert b.json_line() == _bracket_json(7, horizon, lower_num * den,
-                                              upper_num * den) + "\n"
+    powers = pricing._Powers2()
+    for lower_num in [3 << 20,  # a small odd numerator over huge powers of two
+                      (1 << 14999) + 12345,  # the odd numerator itself past the limit
+                      7 << 4,  # back down to a smaller power
+                      1 << horizon, 0]:  # lower 1/2 and 0
+        b = PriceBracket(7, horizon, lower_num)
+        line = _bracket_json(7, horizon, lower_num * den, 1 - lower_num * den) + "\n"
+        assert b.json_line() == line
+        assert b.json_line(b._json_values(powers)) == line
 
 
 @pytest.mark.parametrize("spec, reality, mode, fmt", sorted(SIMULATE_DIGESTS))

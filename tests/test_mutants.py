@@ -6,6 +6,7 @@ of the engine.  Each check is first run on the unmutated engine, so a
 mutant is caught by what it breaks and not by a check that fails anyway.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from faircoin.reality import FixedPath, worst_case
 from faircoin.strategies import (Mixture, MultiplicativeContrarian, OneSided, StoppedAdditive,
                                  Strategy, parse_strategy, truncated_q)
 from faircoin.verify import VerifyError, exhaustive, product_capital
-from test_pricing import series_lines_are_the_json_lines
+from test_pricing import (series_lines_are_the_json_lines, series_matches_the_two_sided_sweep,
+                          upper_bracket_roots_are_the_table_roots)
 from test_reality import plain_minimax
 from test_strategies import unsound_keys
 
@@ -185,14 +187,53 @@ def settle_ignores_the_sign(patch):
 
 def series_reuses_values_on_even_horizons(patch):
     def mutant(l, horizon):
+        powers = pricing._Powers2()
         prev = None
         for b in pricing.bracket_series(l, horizon):
             if prev is None or (b.horizon % 2 and (b.lower_num != 2 * prev.lower_num
                                                    or b.upper_num != 2 * prev.upper_num)):
-                values = b._json_values()
+                values = b._json_values(powers)
             yield b.json_line(values)
             prev = b
     patch.setattr(pricing, "series_json_lines", mutant)
+
+
+def half_sweep_drops_the_centre_mirror(patch):
+    def mutant(l, horizon):
+        widths = pricing._strip_widths(l, horizon)
+        half = [1]
+        for n in range(1, horizon + 1):
+            w = widths[n - 1]
+            if widths[n] > w:
+                yield half, 0
+                half = [0, *half]
+            else:
+                yield half, half[0] if half else 0
+            nxt = [a + b for a, b in zip(half, half[1:])]
+            if w % 2 and half:
+                nxt.append(half[-1])
+            half = nxt
+    patch.setattr(pricing, "_absorption_sweep", mutant)
+
+
+def series_live_mass_over_the_wrong_power(patch):
+    json_values = pricing.PriceBracket._json_values
+
+    def mutant(self, powers=None):
+        odd, k = game.lowest_dyadic(self.lower_num, self.horizon + 1)
+        if powers is None or k < 2:
+            return json_values(self, powers)
+        lower, half = Decimal(odd), powers(k - 1)
+        whole = pricing._EXACT.add(half, half)
+        return (f'"lower": "{lower}/{whole}", '
+                f'"upper": "{pricing._EXACT.subtract(whole, lower)}/{whole}", '
+                f'"live_mass": "{pricing._EXACT.subtract(whole, lower)}/{half}"')
+    patch.setattr(pricing.PriceBracket, "_json_values", mutant)
+
+
+def bracket_upper_off_by_one(patch):
+    patch.setattr(pricing.PriceBracket, "upper_num",
+                  property(lambda self: (2 << self.horizon) - self.lower_num - 1))
 
 
 def one_tail_root_negated(patch):
@@ -325,6 +366,9 @@ MUTANTS = [
     (next_stake_pends_the_handed_out_value, additive_closed_form),
     (settle_ignores_the_sign, q_mixture_is_the_product_sum),
     (series_reuses_values_on_even_horizons, series_lines_are_the_json_lines),
+    (half_sweep_drops_the_centre_mirror, series_matches_the_two_sided_sweep),
+    (series_live_mass_over_the_wrong_power, series_lines_are_the_json_lines),
+    (bracket_upper_off_by_one, upper_bracket_roots_are_the_table_roots),
     (one_tail_root_negated, replication_sees_no_negative_hedge),
     (census_budget_off_by_one_step, replication_cost_is_the_census_sum),
 ]

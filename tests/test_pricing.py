@@ -193,11 +193,49 @@ def test_bracket_series_matches_eta_roots():
             assert b == direct and hash(b) == hash(direct)
 
 
+def two_sided_sweep(l, horizon):
+    """The forward sweep over the whole live strip, both edges read apart:
+    yield (counts, new_neg, new_pos) for n = 1..horizon, where counts[i]
+    paths reach the live state (n - 1, 2i - w_{n-1}), and new_neg and
+    new_pos of the 2**n paths are first absorbed at round n below and above
+    the strip.  It assumes no reflection symmetry."""
+    widths = pricing._strip_widths(l, horizon)
+    counts = [1]
+    for n in range(1, horizon + 1):
+        if widths[n] > widths[n - 1]:  # every child is live
+            yield counts, 0, 0
+            counts = [0, *counts, 0]
+        else:  # the outermost states each lose one child
+            yield (counts, counts[0], counts[-1]) if counts else (counts, 0, 0)
+        counts = [a + b for a, b in zip(counts, counts[1:])]
+
+
+def series_matches_the_two_sided_sweep():
+    # lower from the negative edge, upper from the positive one
+    for l, horizons in [*((l, (1, 2, 3, 50, 700)) for l in range(16)),
+                        (0, (4096,)), (4, (4096,)), (9, (2048,))]:
+        expect, neg, pos = [], 0, 0
+        for n, (_, new_neg, new_pos) in enumerate(two_sided_sweep(l, horizons[-1]), start=1):
+            neg, pos = 2 * (neg + new_neg), 2 * (pos + new_pos)
+            expect.append((n, neg, (2 << n) - pos))
+        for h in horizons:
+            if [(b.horizon, b.lower_num, b.upper_num) for b in bracket_series(l, h)] != expect[:h]:
+                return False
+    return True
+
+
+def test_bracket_series_matches_the_two_sided_sweep():
+    assert series_matches_the_two_sided_sweep()
+
+
 def test_bracket_series_matches_fractions_from_the_sweep():
     for l in range(10):
         series = bracket_series(l, 64)
         lower, upper = Fraction(0), Fraction(1)
-        for h, (_, new_neg, new_pos) in enumerate(pricing._absorption_sweep(l, 64), start=1):
+        sweeps = zip(pricing._absorption_sweep(l, 64), two_sided_sweep(l, 64))
+        for h, ((half, edge), (counts, new_neg, new_pos)) in enumerate(sweeps, start=1):
+            # the half strip is the states s <= 0 of the whole one
+            assert (half, edge, edge) == (counts[:(len(counts) + 1) // 2], new_neg, new_pos)
             lower += Fraction(new_neg, 1 << h)
             upper -= Fraction(new_pos, 1 << h)
             b = series[h - 1]
@@ -218,16 +256,29 @@ def test_series_lines_are_the_json_lines():
     assert series_lines_are_the_json_lines()
 
 
+def upper_bracket_roots_are_the_table_roots():
+    return all((b.lower, b.upper) == (eta_table(l, h, "zero").root_value,
+                                      eta_table(l, h, "one").root_value)
+               for l in range(10) for h in range(1, 65)
+               for b in [upper_price_bracket(l, h)])
+
+
 def test_upper_bracket_roots_are_the_table_roots():
-    for l in range(10):
-        for h in range(1, 65):
-            b = upper_price_bracket(l, h)
-            assert (b.lower, b.upper) == (eta_table(l, h, "zero").root_value,
-                                          eta_table(l, h, "one").root_value)
+    assert upper_bracket_roots_are_the_table_roots()
     with pytest.raises(PricingError):
         upper_price_bracket(0, 0)
     with pytest.raises(PricingError):
         upper_price_bracket(-1, 4)
+
+
+def test_one_tail_table_is_the_mirrored_zero_tail_table():
+    # V_one(n, s) = 1 - V_zero(n, -s) at every live state, on the full tables
+    for l in range(10):
+        for h in range(1, 65):
+            one, zero = eta_table(l, h, "one"), eta_table(l, h, "zero")
+            for n, w in enumerate(one._widths):
+                for i in range(w + 1):
+                    assert one._levels[n][i] + zero._levels[n][w - i] == 2 << (h - n)
 
 
 def test_upper_bracket_holds_one_level_at_a_time():
