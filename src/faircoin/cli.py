@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import pricing, verify
-from .game import GameError, fmt_dyadic, parse_moves, run_game, spec_value
+from .game import GameError, fmt_int, fmt_number, parse_moves, run_game, spec_value
 from .pricing import PricingError
 from .reality import FixedPath, RealityError, parse_reality
 from .stopping import event_report, excursions
@@ -119,14 +119,11 @@ def cmd_price(args) -> int:
 
 
 def cmd_census(args) -> int:
+    """Print the line json.dumps would print for the census, its integers
+    through fmt_int: json.dumps refuses one past the int digit limit."""
     census = pricing.enumerate_absorption(args.l, args.k)
-    print(json.dumps({
-        "l": census.l,
-        "k": census.k,
-        "a": list(census.a),
-        "b_k": census.b_k,
-        "sum_ai_2^-i": fmt_dyadic(census.b_k, census.k),
-    }))
+    print(f'{{"l": {census.l}, "k": {census.k}, "a": [{", ".join(map(fmt_int, census.a))}], '
+          f'"b_k": {fmt_int(census.b_k)}, "sum_ai_2^-i": "{fmt_number(census.budget_sum)}"}}')
     return 0
 
 

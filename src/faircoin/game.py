@@ -286,42 +286,24 @@ class GameTrace:
         self.rounds.append(Round(n=n, x=x, stake=m, capital=k, s=s))
 
 
+def fmt_int(i: int) -> str:
+    """The decimal digits of the integer i.  str(int) refuses more digits
+    than sys.get_int_max_str_digits(); such numbers go through Decimal,
+    which converts exactly and without that limit."""
+    try:
+        return str(i)
+    except ValueError:
+        return str(Decimal(i))
+
+
 def fmt_number(v) -> str:
-    """Rationals serialize as "num/den"; floats use repr round-tripping."""
+    """Rationals serialize as "num/den", each part through fmt_int; floats
+    use repr round-tripping."""
     if type(v) is float:
         return repr(v)
     if isinstance(v, (Fraction, int)):
-        return _fmt_ratio(v.numerator, v.denominator)
+        return f"{fmt_int(v.numerator)}/{fmt_int(v.denominator)}"
     return repr(float(v))
-
-
-def lowest_dyadic(num: int, bits: int) -> tuple[int, int]:
-    """num / 2**bits in lowest terms, as (num', bits') with num' / 2**bits':
-    the common factors of two are shifted out, so no gcd is taken."""
-    z = min((num & -num).bit_length() - 1, bits) if num else bits
-    return num >> z, bits - z
-
-
-def fmt_dyadic(num: int, bits: int) -> str:
-    """fmt_number(Fraction(num, 2**bits)) without building the Fraction."""
-    num, bits = lowest_dyadic(num, bits)
-    return _fmt_ratio(num, _pow2_text(bits))
-
-
-def _fmt_ratio(num: int, den: int | str) -> str:
-    """The text num/den; den may come as its decimal digits.  str(int)
-    refuses more digits than sys.get_int_max_str_digits(); such numbers go
-    through Decimal, which converts both exactly and without that limit."""
-    try:
-        return f"{num}/{den}"
-    except ValueError:
-        return f"{Decimal(num)}/{Decimal(den)}"
-
-
-def _pow2_text(k: int) -> str:
-    """The decimal digits of 2**k, by way of Decimal, which has no digit
-    limit; a price series builds its powers of two its own way."""
-    return str(Decimal(1 << k))
 
 
 _INTEGER_RATIO = re.compile(r"[-+]?\d+(/\d+)?")

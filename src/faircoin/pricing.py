@@ -29,7 +29,9 @@ root is 1 minus the lower one, so a bracket runs the zero-tail induction
 alone, holding one level at a time.  A bracket is stored as the lower
 root's integer numerator over a power-of-two scale: it builds its
 Fractions only when they are read, and prints straight from the integer,
-so a long series takes no gcd.
+so a long series takes no gcd.  A lone bracket's line is built as a
+series line is, and power-of-two scales stay in this module: every other
+exact number reaches its text through ``game.fmt_number``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
-from .game import fmt_dyadic, lowest_dyadic
 from .stopping import boundary_exceeds
 
 _TAIL_NUMS = {"zero": 0, "one": 2, "half": 1}  # tail values as numerators at scale 2**1
@@ -199,6 +200,13 @@ def delta_hedge_bet(table: EtaTable, n: int, s: int) -> Fraction:
     return Fraction(up - down, 2 << table._scale_bits(n + 1))
 
 
+def lowest_dyadic(num: int, bits: int) -> tuple[int, int]:
+    """num / 2**bits in lowest terms, as (num', bits') with num' / 2**bits':
+    the common factors of two are shifted out, so no gcd is taken."""
+    z = min((num & -num).bit_length() - 1, bits) if num else bits
+    return num >> z, bits - z
+
+
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)  # Decimal integer arithmetic, never rounded
 
 
@@ -255,22 +263,20 @@ class PriceBracket:
     def json_line(self, values: str | None = None) -> str:
         """The bracket as one line of JSON, byte for byte what json.dumps
         prints for it; its "num/den" strings need no escaping.  ``values``,
-        if given, is the ``_json_values()`` text of an equal bracket."""
-        return f'{{"l": {self.l}, "horizon": {self.horizon}, {values or self._json_values()}}}\n'
+        if given, is the ``_json_values()`` text of an equal bracket; a
+        lone bracket builds its own the way a series line does."""
+        return (f'{{"l": {self.l}, "horizon": {self.horizon}, '
+                f'{values or self._json_values(_Powers2())}}}\n')
 
-    def _json_values(self, powers: _Powers2 | None = None) -> str:
-        """The "lower", "upper" and "live_mass" members of json_line(), each
-        formatted from its own numerator.  Given the ``powers`` of a series,
-        only lower's odd numerator L over 2**k is converted to decimal
-        instead: upper is (2**k - L)/2**k and live_mass (2**(k-1) - L)/2**(k-1),
-        both in lowest terms for k >= 2, got by Decimal subtraction from the
-        denominators the line prints anyway."""
-        num, bits = self.lower_num, self.horizon + 1
-        odd, k = lowest_dyadic(num, bits)
-        if powers is None or k < 2:  # k < 2: lower is 0 or 1/2
-            return (f'"lower": "{fmt_dyadic(num, bits)}", '
-                    f'"upper": "{fmt_dyadic(self.upper_num, bits)}", '
-                    f'"live_mass": "{fmt_dyadic(self.upper_num - num, bits)}"')
+    def _json_values(self, powers: _Powers2) -> str:
+        """The "lower", "upper" and "live_mass" members of json_line(), from
+        the ``powers`` of a series.  Only lower's odd numerator L over 2**k
+        is converted to decimal: upper is (2**k - L)/2**k and live_mass
+        (2**(k-1) - L)/2**(k-1), both in lowest terms, got by Decimal
+        subtraction from the denominators the line prints anyway."""
+        odd, k = lowest_dyadic(self.lower_num, self.horizon + 1)
+        if not odd:  # nothing absorbed yet: lower 0, the whole mass live
+            return '"lower": "0/1", "upper": "1/1", "live_mass": "1/1"'
         lower, half = Decimal(odd), powers(k - 1)  # Decimal() has no digit limit
         whole = _EXACT.add(half, half)
         return (f'"lower": "{lower}/{whole}", '

@@ -11,6 +11,7 @@ strategies bet zero forever once their guard trips.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -22,6 +23,15 @@ from .stopping import boundary_exceeds
 
 class StrategyError(Exception):
     pass
+
+
+def _size(name: str, v, least: int) -> int:
+    """v as an int >= least.  Integers of other types (numpy's) are
+    converted; bool and non-integral numbers are refused, though True
+    equals 1."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+        raise StrategyError(f"{name} must be an integer >= {least}, got {v!r}")
+    return int(v)
 
 
 class Strategy:
@@ -230,8 +240,7 @@ class OneSided(Strategy):
     """
 
     def __init__(self, N: int, direction: str = "down", exact: bool = True):
-        if not (isinstance(N, int) and N >= 1):
-            raise StrategyError(f"N must be a positive integer, got {N!r}")
+        N = _size("N", N, 1)
         if direction not in ("down", "up"):
             raise StrategyError(f"direction must be 'down' or 'up', got {direction!r}")
         super().__init__(Fraction(1), exact=exact, den=N)
@@ -337,8 +346,7 @@ def truncated_q(depth: int = 20, exact: bool = True) -> Mixture:
     2^-depth is held as idle cash so the truncation is itself a legal
     strategy.
     """
-    if depth < 1:
-        raise StrategyError("mixture depth must be >= 1")
+    depth = _size("mixture depth", depth, 1)
     comps = [(Fraction(1, 1 << i), MultiplicativeContrarian(Fraction(1, 1 << i), exact=exact))
              for i in range(1, depth + 1)]
     return Mixture(comps, tail_weight=Fraction(1, 1 << depth), exact=exact)
@@ -373,10 +381,8 @@ class SignForcing(Strategy):
 
     def __init__(self, hedge_cap: int = 1024, run_horizon: int | None = None):
         super().__init__(Fraction(1), exact=True)
-        if hedge_cap < 4:
-            raise StrategyError("hedge_cap must be >= 4")
-        self.hedge_cap = hedge_cap
-        self.run_horizon = run_horizon
+        self.hedge_cap = _size("hedge_cap", hedge_cap, 4)
+        self.run_horizon = None if run_horizon is None else _size("run_horizon", run_horizon, 0)
         self.excursion_log: list[ExcursionOutcome] = []
         self._w = None  # the round the current excursion began; None while waiting for it
         self._w_wealth = None

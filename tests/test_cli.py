@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from faircoin import game, pricing
 from faircoin.cli import main
 from faircoin.game import GameTrace, fmt_number
-from faircoin.pricing import PriceBracket, eta_table
+from faircoin.pricing import PriceBracket, enumerate_absorption, eta_table
 from faircoin.strategies import StrategyError, parse_strategy
 from faircoin.verify import product_capital
 
@@ -19,6 +21,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def cli_output(*argv):
+    """main(argv)'s exit code and stdout, for checks that run without capsys."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """sys.set_int_max_str_digits(digits) inside the block; 0 lifts the limit."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def trace_and_report(out):
@@ -207,24 +227,31 @@ def _bracket_json(l, horizon, lower, upper):
                        "upper": fmt_number(upper), "live_mass": fmt_number(upper - lower)})
 
 
-def test_price_lines_are_json_dumps_of_the_table_roots(capsys):
-    for l in range(10):
+def price_lines_are_json_dumps_of_the_table_roots(offsets=range(10)):
+    # l = 9 has lower 0 at horizons 1 and 2, l = 0 lower 1/2 throughout
+    for l in offsets:
         expect = []
         for h in range(1, 65):
             line = _bracket_json(l, h, eta_table(l, h, "zero").root_value,
-                                 eta_table(l, h, "one").root_value)
+                                 eta_table(l, h, "one").root_value) + "\n"
             expect.append(line)
-            code, out = run_cli(capsys, "price", "--l", str(l), "--horizon", str(h))
-            assert (code, out) == (0, line + "\n")
-        code, out = run_cli(capsys, "price", "--l", str(l), "--horizon", "64", "--series")
-        assert (code, out) == (0, "".join(line + "\n" for line in expect))
+            if cli_output("price", "--l", str(l), "--horizon", str(h)) != (0, line):
+                return False
+        if cli_output("price", "--l", str(l), "--horizon", "64", "--series") != (0, "".join(expect)):
+            return False
+    return True
+
+
+def test_price_lines_are_json_dumps_of_the_table_roots():
+    assert price_lines_are_json_dumps_of_the_table_roots()
 
 
 def test_bracket_line_past_the_int_digit_limit():
     # 2**15001 has 4,516 decimal digits, past str(int)'s default limit of
-    # 4,300: json_line() and json.dumps of fmt_number take the Decimal
-    # route, and so does a series line, here through one run of powers of
-    # two going up and down as a series' do
+    # 4,300: json.dumps of fmt_number takes fmt_int's Decimal route, and
+    # json_line() takes none, as it converts through Decimal from the
+    # start.  A lone line starts its powers of two afresh, and the shared
+    # run here goes up and down as a series' does
     horizon = 15000
     den = Fraction(1, 2 << horizon)
     powers = pricing._Powers2()
@@ -236,6 +263,68 @@ def test_bracket_line_past_the_int_digit_limit():
         line = _bracket_json(7, horizon, lower_num * den, 1 - lower_num * den) + "\n"
         assert b.json_line() == line
         assert b.json_line(b._json_values(powers)) == line
+
+
+def _census_json(l, k):
+    """The line json.dumps prints for a census, from its counts a_i alone."""
+    a = list(enumerate_absorption(l, k).a)
+    total = sum(Fraction(ai, 1 << i) for i, ai in enumerate(a, start=1))
+    return json.dumps({"l": l, "k": k, "a": a, "b_k": int(total * (1 << k)),
+                       "sum_ai_2^-i": fmt_number(total)}) + "\n"
+
+
+def census_lines_are_json_dumps_of_the_counts():
+    return all(cli_output("census", "--l", str(l), "--k", str(k)) == (0, _census_json(l, k))
+               for l in (0, 1, 4, 9) for k in (1, 2, 13, 200))
+
+
+def test_census_lines_are_json_dumps_of_the_counts():
+    assert census_lines_are_json_dumps_of_the_counts()
+
+
+# str(int)'s digit limit at its floor: every route from an integer to its
+# text must take the Decimal fallback past 640 digits
+DIGIT_FLOOR = 640
+
+
+def census_prints_past_the_digit_floor():
+    # b_k at k = 2200 has 662 digits; json.dumps itself cannot print it
+    # under the floor, so the reference is made with the limit lifted
+    with int_digit_limit(0):
+        line = _census_json(4, 2200)
+    try:
+        with int_digit_limit(DIGIT_FLOOR):
+            return cli_output("census", "--l", "4", "--k", "2200") == (0, line)
+    except ValueError:  # a route without the fallback
+        return False
+
+
+def test_census_prints_past_the_digit_floor():
+    assert census_prints_past_the_digit_floor()
+
+
+def test_price_pins_hold_at_the_digit_floor():
+    # the series' numerators reach about 1,230 digits at (4, 4096)
+    digest, calls = DYADIC_OUTPUT_PIN
+    calls = [*calls, ["price", "--l", "4", "--horizon", "4096", "--series"]]
+    with int_digit_limit(DIGIT_FLOOR):
+        outs = [cli_output(*argv) for argv in calls]
+    assert [code for code, _ in outs] == [0] * len(calls)
+    h = hashlib.sha256()
+    for _, out in outs[:-1]:
+        h.update(out.encode())
+    assert h.hexdigest() == digest
+    assert hashlib.sha256(outs[-1][1].encode()).hexdigest() == SERIES_DIGESTS[4, 4096]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_simulate_prints_past_the_digit_floor(fmt):
+    argv = ["simulate", "--strategy", "mulc:c=1/2", "--reality", "iid:seed=1",
+            "--horizon", "2000", "--format", fmt]
+    code, out = cli_output(*argv)
+    with int_digit_limit(DIGIT_FLOOR):
+        assert cli_output(*argv) == (code, out)
+    assert code == 0 and max(map(len, out.split(","))) > DIGIT_FLOOR
 
 
 @pytest.mark.parametrize("spec, reality, mode, fmt", sorted(SIMULATE_DIGESTS))

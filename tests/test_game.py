@@ -19,7 +19,6 @@ from faircoin import game
 from faircoin.game import (
     GameError,
     GameTrace,
-    fmt_dyadic,
     fmt_number,
     moves_of,
     parse_moves,
@@ -191,28 +190,6 @@ def test_jsonl_round_trip():
     assert back.rounds == trace.rounds
 
 
-@st.composite
-def dyadics(draw):
-    bits = draw(st.integers(min_value=0, max_value=64))
-    bound = 1 << (bits + 1)
-    return draw(st.integers(min_value=-bound, max_value=bound)), bits
-
-
-@given(dyadics())
-def test_fmt_dyadic_is_fmt_number_of_the_fraction(dyadic):
-    num, bits = dyadic
-    assert fmt_dyadic(num, bits) == fmt_number(Fraction(num, 1 << bits))
-
-
-@pytest.mark.parametrize("num", [3 ** 9100, 2 * 3 ** 9000, 0, 1 << 14400],
-                         ids=["odd", "even", "zero", "one"])
-def test_fmt_dyadic_past_int_digit_limit(num):
-    # 2**14400 and 3**9100 have over 4300 digits: these take the Decimal route,
-    # or reduce to 0/1 and 1/1 at that scale
-    assert fmt_dyadic(num, 14400) == fmt_number(Fraction(num, 1 << 14400))
-    assert parse_number(fmt_dyadic(num, 14400)) == Fraction(num, 1 << 14400)
-
-
 def test_numbers_past_int_digit_limit_round_trip():
     # 2**14400 has 4335 digits, over the default limit of str(int)
     tiny = Fraction(1, 1 << 14400)
@@ -279,7 +256,7 @@ def test_writers_match_csv_and_json_modules_at_the_edges():
         "n,x,M,K,s", "1,1,0.1,0.1,1", "2,1,0.2,0.30000000000000004,2"]
     assert csv_buf.getvalue().endswith("\r\n")
     _assert_writers_match_oracles(floats)
-    # 2**14400 has 4335 digits: this row's numbers take _fmt_ratio's Decimal route
+    # 2**14400 has 4335 digits: this row's numbers take fmt_int's Decimal route
     exact = GameTrace()
     exact.play(Fraction(-1, 2), -1)
     exact.play(Fraction(-3, 1 << 14400), 1)

@@ -1,24 +1,31 @@
-"""Mutant table: each entry breaks the strategy engine, a walker or a pricing
-check in one way and names the check that must then fail.
+"""Mutant table: each entry breaks the strategy engine, a walker, a pricing
+check or an output route in one way and names the check that must then
+fail.
 
 A check that still passes under its mutant has stopped checking that part
 of the engine.  Each check is first run on the unmutated engine, so a
 mutant is caught by what it breaks and not by a check that fails anyway.
 """
 
+import io
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from faircoin import game, pricing, strategies, verify
+from faircoin import cli, game, pricing, strategies, verify
 from faircoin.game import run_game
 from faircoin.pricing import replicate_and_verify
 from faircoin.reality import FixedPath, worst_case
 from faircoin.strategies import (Mixture, MultiplicativeContrarian, OneSided, StoppedAdditive,
                                  Strategy, parse_strategy, truncated_q)
 from faircoin.verify import VerifyError, exhaustive, product_capital
-from test_pricing import (series_lines_are_the_json_lines, series_matches_the_two_sided_sweep,
+from test_cli import (census_lines_are_json_dumps_of_the_counts,
+                      census_prints_past_the_digit_floor,
+                      price_lines_are_json_dumps_of_the_table_roots)
+from test_game import _csv_writer_text, _json_dumps_text
+from test_pricing import (lowest_dyadic_is_the_fraction_normal_form,
+                          series_lines_are_the_json_lines, series_matches_the_two_sided_sweep,
                           upper_bracket_roots_are_the_table_roots)
 from test_reality import plain_minimax
 from test_strategies import unsound_keys
@@ -219,9 +226,9 @@ def half_sweep_drops_the_centre_mirror(patch):
 def series_live_mass_over_the_wrong_power(patch):
     json_values = pricing.PriceBracket._json_values
 
-    def mutant(self, powers=None):
-        odd, k = game.lowest_dyadic(self.lower_num, self.horizon + 1)
-        if powers is None or k < 2:
+    def mutant(self, powers):
+        odd, k = pricing.lowest_dyadic(self.lower_num, self.horizon + 1)
+        if not odd:
             return json_values(self, powers)
         lower, half = Decimal(odd), powers(k - 1)
         whole = pricing._EXACT.add(half, half)
@@ -229,6 +236,61 @@ def series_live_mass_over_the_wrong_power(patch):
                 f'"upper": "{pricing._EXACT.subtract(whole, lower)}/{whole}", '
                 f'"live_mass": "{pricing._EXACT.subtract(whole, lower)}/{half}"')
     patch.setattr(pricing.PriceBracket, "_json_values", mutant)
+
+
+def lower_zero_line_with_no_live_mass(patch):
+    json_values = pricing.PriceBracket._json_values
+
+    def mutant(self, powers):
+        if self.lower_num:
+            return json_values(self, powers)
+        return '"lower": "0/1", "upper": "1/1", "live_mass": "0/1"'
+    patch.setattr(pricing.PriceBracket, "_json_values", mutant)
+
+
+def lowest_dyadic_keeps_the_factors_of_two(patch):
+    patch.setattr(pricing, "lowest_dyadic", lambda num, bits: (num, bits))
+
+
+def lowest_dyadic_reduces_past_bits(patch):
+    def mutant(num, bits):
+        z = (num & -num).bit_length() - 1 if num else bits
+        return num >> z, bits - z
+    patch.setattr(pricing, "lowest_dyadic", mutant)
+
+
+def census_integers_through_plain_str(patch):
+    patch.setattr(cli, "fmt_int", str)
+
+
+def census_sum_over_twice_the_scale(patch):
+    patch.setattr(pricing.AbsorptionCensus, "budget_sum",
+                  property(lambda self: Fraction(self.b_k, 2 << self.k)))
+
+
+def census_b_k_scale_off_by_one(patch):
+    patch.setattr(pricing.AbsorptionCensus, "b_k",
+                  property(lambda self: sum(ai << (self.k + 1 - i)
+                                            for i, ai in enumerate(self.a, start=1))))
+
+
+def _rewrite_trace_text(patch, method, old, new):
+    """GameTrace.<method> writing its text with ``old`` replaced by ``new``."""
+    write = getattr(game.GameTrace, method)
+
+    def mutant(self, f):
+        buf = io.StringIO()
+        write(self, buf)
+        f.write(buf.getvalue().replace(old, new))
+    patch.setattr(game.GameTrace, method, mutant)
+
+
+def csv_rows_end_in_lf(patch):
+    _rewrite_trace_text(patch, "write_csv", "\r\n", "\n")
+
+
+def jsonl_members_without_spaces(patch):
+    _rewrite_trace_text(patch, "write_jsonl", ", ", ",")
 
 
 def bracket_upper_off_by_one(patch):
@@ -253,6 +315,20 @@ def census_budget_off_by_one_step(patch):
 
 
 # -- checks: each returns True when the engine passes it -----------------------
+
+
+def lower_zero_price_lines_are_json_dumps_of_the_table_roots():
+    # l = 9 has lower 0 at horizons 1 and 2; every offset runs in test_cli
+    return price_lines_are_json_dumps_of_the_table_roots(offsets=[9])
+
+
+def trace_writers_match_csv_and_json_modules():
+    trace = run_game(MultiplicativeContrarian(Fraction(1, 2)), FixedPath([1, -1, -1, 1, 1]), 5)
+    csv_buf, jsonl_buf = io.StringIO(), io.StringIO()
+    trace.write_csv(csv_buf)
+    trace.write_jsonl(jsonl_buf)
+    return (csv_buf.getvalue() == _csv_writer_text(trace)
+            and jsonl_buf.getvalue() == _json_dumps_text(trace))
 
 
 def additive_closed_form():
@@ -368,6 +444,14 @@ MUTANTS = [
     (series_reuses_values_on_even_horizons, series_lines_are_the_json_lines),
     (half_sweep_drops_the_centre_mirror, series_matches_the_two_sided_sweep),
     (series_live_mass_over_the_wrong_power, series_lines_are_the_json_lines),
+    (lower_zero_line_with_no_live_mass, lower_zero_price_lines_are_json_dumps_of_the_table_roots),
+    (lowest_dyadic_keeps_the_factors_of_two, series_lines_are_the_json_lines),
+    (lowest_dyadic_reduces_past_bits, lowest_dyadic_is_the_fraction_normal_form),
+    (census_integers_through_plain_str, census_prints_past_the_digit_floor),
+    (census_sum_over_twice_the_scale, census_lines_are_json_dumps_of_the_counts),
+    (census_b_k_scale_off_by_one, census_lines_are_json_dumps_of_the_counts),
+    (csv_rows_end_in_lf, trace_writers_match_csv_and_json_modules),
+    (jsonl_members_without_spaces, trace_writers_match_csv_and_json_modules),
     (bracket_upper_off_by_one, upper_bracket_roots_are_the_table_roots),
     (one_tail_root_negated, replication_sees_no_negative_hedge),
     (census_budget_off_by_one_step, replication_cost_is_the_census_sum),

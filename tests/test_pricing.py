@@ -1,5 +1,6 @@
 """Value tables, price brackets, absorption census, and replication."""
 
+import functools
 import re
 import tracemalloc
 from fractions import Fraction
@@ -20,6 +21,7 @@ from faircoin.pricing import (
 )
 from faircoin.stopping import TicketStatus, boundary_exceeds, ticket_Y
 from test_acceptance import _absorbed_negative_full_count
+from test_cli import _bracket_json
 
 
 # -- eta tables -------------------------------------------------------------
@@ -244,16 +246,38 @@ def test_bracket_series_matches_fractions_from_the_sweep():
             assert bracket_series(l, h) == series[:h]
 
 
+@functools.cache
+def fraction_lines(l, horizon):
+    """The lines json.dumps prints for bracket_series(l, horizon), from each
+    bracket's Fractions through fmt_number; kept, as the mutant table runs
+    its checks twice."""
+    return tuple(_bracket_json(b.l, b.horizon, b.lower, b.upper) + "\n"
+                 for b in bracket_series(l, horizon))
+
+
 def series_lines_are_the_json_lines():
     # the first line, rounds where lower is 0, and long runs that alternate
     # between reused and absorbing lines
-    return all(list(pricing.series_json_lines(l, h))
-               == [b.json_line() for b in bracket_series(l, h)]
+    return all(tuple(pricing.series_json_lines(l, h)) == fraction_lines(l, h)
                for l in range(16) for h in (1, 2, 3, 50, 700))
 
 
 def test_series_lines_are_the_json_lines():
     assert series_lines_are_the_json_lines()
+
+
+def lowest_dyadic_is_the_fraction_normal_form():
+    # num / 2**bits for |num| <= 2**(bits + 1): values from -2 to 2, 0 included
+    for bits in range(10):
+        for num in range(-(2 << bits), (2 << bits) + 1):
+            f = Fraction(num, 1 << bits)
+            if pricing.lowest_dyadic(num, bits) != (f.numerator, f.denominator.bit_length() - 1):
+                return False
+    return True
+
+
+def test_lowest_dyadic_is_the_fraction_normal_form():
+    assert lowest_dyadic_is_the_fraction_normal_form()
 
 
 def upper_bracket_roots_are_the_table_roots():

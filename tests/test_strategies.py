@@ -253,6 +253,39 @@ def test_one_sided_rejects_bad_args():
         OneSided(2, "sideways")
 
 
+SIZE_REFUSALS = {
+    "oneside-true": lambda: OneSided(True),
+    "oneside-float": lambda: OneSided(3.0),
+    "oneside-fraction": lambda: OneSided(Fraction(3)),
+    "signforce-cap-float": lambda: SignForcing(hedge_cap=4.5),
+    "signforce-cap-true": lambda: SignForcing(hedge_cap=True),
+    "signforce-run-float": lambda: SignForcing(run_horizon=10.0),
+    "signforce-run-negative": lambda: SignForcing(run_horizon=-1),
+    "q-true": lambda: truncated_q(True),
+    "q-float": lambda: truncated_q(2.0),
+    "q-zero": lambda: truncated_q(0),
+}
+
+
+@pytest.mark.parametrize("build", SIZE_REFUSALS.values(), ids=SIZE_REFUSALS.keys())
+def test_sizes_refuse_bool_and_non_integers(build):
+    # True equals 1 and 4.5 compares fine, but neither is a size
+    with pytest.raises(StrategyError, match="must be an integer >= "):
+        build()
+
+
+def test_sizes_take_numpy_integers():
+    strat = OneSided(np.int64(3))
+    assert type(strat.N) is int
+    feed(strat, [1, 1])
+    assert strat.gain == Fraction(2, 3)
+    forcing = SignForcing(hedge_cap=np.int64(64), run_horizon=np.int32(10))
+    assert (type(forcing.hedge_cap), type(forcing.run_horizon)) == (int, int)
+    feed(forcing, [1, -1])
+    assert forcing._table.horizon == 8
+    assert len(truncated_q(np.int64(3)).components) == 3
+
+
 @given(moves_lists, st.integers(min_value=1, max_value=3),
        st.sampled_from(["down", "up"]))
 def test_one_sided_capital_formula(moves, N, direction):
