@@ -8,6 +8,7 @@ exact mode so reports can be diffed against golden files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -35,7 +36,10 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: a build
+    costs about twenty parses, and parse_args leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="faircoin",
         description="Fair-coin betting game: simulation, pricing, verification.")

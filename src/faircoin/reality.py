@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from operator import attrgetter
 
+from . import game
 from .game import parse_moves, spec_args, validate_move, walk_tree
 
 
@@ -103,6 +104,12 @@ def worst_case(strategy, rounds: int, objective: str = "final") -> WorstCase:
     numerators over the root's ``_den`` is folded on ``_numerator()`` and
     its value built once, at the end, as ``wealth`` builds it; other
     accounts fold on ``wealth``.
+
+    A stopped bettor bets nothing more (``Strategy.stopped`` is permanent),
+    so a stopped child is settled as a leaf is: its value is its wealth now,
+    its path the moves of -1 that ties pick, and it is not expanded.  The
+    counts cover only the nodes expanded.  The path holds a move a round,
+    so a depth over ``game.STATE_BUDGET`` is refused up front.
     """
     if rounds < 0:
         raise RealityError(f"minimax depth must be >= 0, got {rounds}")
@@ -110,17 +117,21 @@ def worst_case(strategy, rounds: int, objective: str = "final") -> WorstCase:
         raise RealityError(f"unknown objective {objective!r}")
     if rounds == 0:
         return WorstCase(strategy.wealth, (), 0, 0)
+    if rounds > game.STATE_BUDGET:
+        raise RealityError(f"minimax depth {rounds} is over the state budget {game.STATE_BUDGET}")
     den = strategy._den
     account = type(strategy)._numerator if den else attrgetter("wealth")
 
     # a path is a linked list of (move, rest) cells, None at its end, so a
-    # memo entry shares its child's cells instead of copying them
+    # memo entry shares its child's cells instead of copying them; a path
+    # that ends before the last round ends at a stopped child, and the
+    # moves left are -1
     def expand(strat, n):
         best = best_path = None
         _, down, up = strat.children()
         for x, nxt in ((-1, down), (1, up)):
             wealth = account(nxt)
-            val, path = (wealth, None) if n + 1 == rounds else (yield nxt)
+            val, path = (wealth, None) if nxt.stopped or n + 1 == rounds else (yield nxt)
             if objective == "running_min":
                 val = min(val, wealth)
             if best is None or val < best:
@@ -133,6 +144,7 @@ def worst_case(strategy, rounds: int, objective: str = "final") -> WorstCase:
     while cell is not None:
         x, cell = cell
         path.append(x)
+    path += [-1] * (rounds - len(path))
     return WorstCase(strategy._value(value) if den else value, tuple(path), expanded, hits)
 
 

@@ -53,7 +53,10 @@ class Strategy:
     One stake step serves every account and every caller, the game-tree
     walks' ``children()`` included: ``next_stake()`` announces zero while
     ``stopped`` is set, else ``_stake()``, and changes nothing but
-    ``_pending``.  Only ``__init__`` and ``_after`` set ``stopped``.
+    ``_pending``.  Only ``__init__`` and ``_after`` set ``stopped``, and
+    it is permanent: a stopped bettor stays stopped and stakes zero every
+    round, so its wealth never moves again, and ``reality.worst_case``
+    settles it as a leaf.
     """
 
     def __init__(self, initial_capital=Fraction(1), exact: bool = True, den: int | None = None,

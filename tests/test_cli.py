@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from faircoin import game, pricing
+from faircoin import cli, game, pricing
 from faircoin.cli import main
 from faircoin.game import GameTrace, fmt_number
 from faircoin.pricing import PriceBracket, enumerate_absorption, eta_table
@@ -422,6 +422,28 @@ def test_bad_strategy_spec_raises(capsys):
     assert "unknown strategy spec" in capsys.readouterr().err
 
 
+def test_main_reuses_one_parser(capsys):
+    # each call parses into a fresh namespace: an option given to one call
+    # (--c, --series) is not left set for the next
+    argvs = [["verify", "--check", "product-capital", "--depth", "3", "--c", "1/3"],
+             ["verify", "--check", "product-capital", "--depth", "3"],
+             ["price", "--l", "2", "--horizon", "8", "--series"],
+             ["price", "--l", "2", "--horizon", "8"],
+             ["census", "--l", "1", "--k", "4"]]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr()))
+    assert [(main(argv), capsys.readouterr()) for argv in argvs] == fresh
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):  # a usage error leaves the parser fit for the next call
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--l", "x", "--horizon", "8"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert (main(argvs[0]), capsys.readouterr()) == fresh[0]
+
+
 def _simulate(strategy="zero", reality="alt"):
     return ["simulate", "--strategy", strategy, "--reality", reality, "--horizon", "1"]
 
@@ -515,13 +537,16 @@ def test_minimax_over_the_state_budget_exits_2(capsys, monkeypatch):
 
 
 def test_minimax_runs_past_the_interpreter_recursion_limit(capsys):
-    # only the state budget bounds a walk; zero's tree merges to one state a round
-    code, out = run_cli(capsys, "simulate", "--strategy", "zero",
-                        "--reality", "minimax:depth=1500", "--horizon", "1500")
-    assert code == 0
-    rows, _ = trace_and_report(out)
-    trace = GameTrace.read_csv(io.StringIO("\n".join(rows)))
-    assert len(trace.rounds) == 1500
+    # only the state budget bounds a walk.  A path bettor on 1,500 moves of
+    # +1 is stopped by any -1, a settled leaf, so its walk is a chain of
+    # 1,500 live states; zero is stopped from the start and walks none
+    for spec in ("pathbet:target=" + "+" * 1500 + ",budget=1", "zero"):
+        code, out = run_cli(capsys, "simulate", "--strategy", spec,
+                            "--reality", "minimax:depth=1500", "--horizon", "1500")
+        assert code == 0
+        rows, _ = trace_and_report(out)
+        trace = GameTrace.read_csv(io.StringIO("\n".join(rows)))
+        assert trace.moves == (-1,) * 1500
 
 
 def test_identical_configs_identical_output(capsys):

@@ -28,7 +28,7 @@ from test_pricing import (lowest_dyadic_is_the_fraction_normal_form,
                           series_lines_are_the_json_lines, series_matches_the_two_sided_sweep,
                           upper_bracket_roots_are_the_table_roots)
 from test_reality import plain_minimax
-from test_strategies import unsound_keys
+from test_strategies import moving_stopped_bettors, unsound_keys
 
 # -- mutants: each takes a monkeypatch and breaks one thing ------------------
 
@@ -56,6 +56,13 @@ def observe_drops_the_numerator_on_up(patch):
 def stopadd_key_without_its_account(patch):
     patch.setattr(StoppedAdditive, "state_key",
                   lambda self: ("stopadd", self.m, self.s, self.stopped))
+
+
+def stopadd_resumes(patch):
+    # the guard is read afresh each round, so a walk back inside it resumes
+    def mutant(self, x):
+        self.stopped = strategies.boundary_exceeds(self.n + 1, self.s, self.m)
+    patch.setattr(StoppedAdditive, "_after", mutant)
 
 
 def worst_case_fold_drops_the_initial_capital(patch):
@@ -354,7 +361,8 @@ def stopped_additive_collateral_eps_2():
 
 
 def worst_case_is_the_plain_minimax():
-    # m = 4: stopped paths meet at one (n, s) with different accounts by round 7
+    # m = 4: the guard stops the bettor on some paths by round 7, and the
+    # fold settles those children as leaves
     return all(worst_case(StoppedAdditive(Fraction(1, 2)), rounds)
                == plain_minimax(StoppedAdditive(Fraction(1, 2)), rounds, "final")
                for rounds in (7, 8))
@@ -371,6 +379,19 @@ def mixture_worst_case_is_the_plain_minimax():
 # exact mulc at three constants: at c = 1/2 the round-3 states W = 3/4 and
 # W = 3/2 share (n, s, numerator)
 MULC_ROOTS = [(f"mulc:c={c}", True) for c in ("1/2", "1/3", "2/5")]
+
+
+# stopped states are settled as leaves by worst_case and never keyed there,
+# so a stopadd key is checked against the states it names directly
+STOPADD_ROOTS = [("stopadd:eps=2/4", exact) for exact in (True, False)]
+
+
+def stopadd_state_keys_are_sound():
+    return not unsound_keys(lambda strat: strat.state_key(), STOPADD_ROOTS)
+
+
+def stopadd_stays_stopped():
+    return not moving_stopped_bettors(STOPADD_ROOTS)
 
 
 def mulc_state_keys_are_sound():
@@ -422,7 +443,9 @@ MUTANTS = [
     (denominator_off_by_one, stopped_additive_collateral),
     (observe_drops_the_numerator_on_up, additive_closed_form),
     (observe_drops_the_numerator_on_up, one_sided_capital),
-    (stopadd_key_without_its_account, worst_case_is_the_plain_minimax),
+    (stopadd_key_without_its_account, stopadd_state_keys_are_sound),
+    (stopadd_resumes, worst_case_is_the_plain_minimax),
+    (stopadd_resumes, stopadd_stays_stopped),
     (worst_case_fold_drops_the_initial_capital, worst_case_is_the_plain_minimax),
     (stop_guard_one_round_late, stopped_additive_collateral),
     (stop_guard_offset_m_plus_one, stopped_additive_collateral_eps_2),

@@ -22,11 +22,13 @@ from faircoin.reality import (
     worst_case,
 )
 from faircoin.strategies import (
+    AdditiveContrarian,
     Mixture,
     MultiplicativeContrarian,
     OneSided,
     SignForcing,
     StoppedAdditive,
+    Strategy,
     ZeroStrategy,
     parse_strategy,
     truncated_q,
@@ -86,12 +88,18 @@ def test_worst_case_objectives_and_caps(monkeypatch):
     val_final, _ = worst_case(StoppedAdditive(Fraction(1, 2)), 8)
     val_min, _ = worst_case(StoppedAdditive(Fraction(1, 2)), 8, objective="running_min")
     assert val_min <= val_final
-    # the zero bettor's one state_key merges each level to one state
-    monkeypatch.setattr(game, "STATE_BUDGET", 4)
-    value = worst_case(ZeroStrategy(), 4)[0]
-    assert (type(value), value) == (Fraction, 1)
-    with pytest.raises(RealityError, match="over the state budget 4"):
-        worst_case(ZeroStrategy(), 5)
+    # the unstopped additive bettor's state_key merges each level d to d
+    # states, so depth d expands d(d + 1)/2: 10 at depth 4, 15 at depth 5
+    monkeypatch.setattr(game, "STATE_BUDGET", 10)
+    assert worst_case(AdditiveContrarian(2), 4).nodes_expanded == 10
+    with pytest.raises(RealityError, match="minimax depth 5 is over the state budget 10"):
+        worst_case(AdditiveContrarian(2), 5)
+    # the zero bettor is stopped from the start: only its root is expanded,
+    # and a path longer than the budget is refused before the walk
+    result = worst_case(ZeroStrategy(), 10)
+    assert (type(result[0]), result, result.nodes_expanded) == (Fraction, (1, (-1,) * 10), 1)
+    with pytest.raises(RealityError, match="minimax depth 11 is over the state budget 10"):
+        worst_case(ZeroStrategy(), 11)
     with pytest.raises(RealityError):
         worst_case(ZeroStrategy(), 3, objective="median")
     with pytest.raises(RealityError):
@@ -143,18 +151,33 @@ def test_worst_case_state_budget_without_a_state_key(monkeypatch):
         worst_case(SignForcing(), 23)
 
 
+class Idle(Strategy):
+    """Bets zero without ever stopping: worst_case walks it as a chain,
+    one expanded state a round."""
+
+    def __init__(self):
+        super().__init__(Fraction(1), den=1)
+
+    def _stake(self):
+        return 0
+
+    def state_key(self):
+        return ("idle",)
+
+
 def test_worst_case_too_deep_to_recurse_is_a_reality_error():
     # depth 5000 is past the interpreter's recursion limit (1,000 frames by
     # default) and is not an error: the walker keeps its path on a list, so
     # only the state budget bounds its depth.  Each round held on that path
     # keeps one fold and one strategy, about 1.3 KB.
-    assert worst_case(ZeroStrategy(), 900) == (1, (-1,) * 900)
+    assert worst_case(Idle(), 900) == (1, (-1,) * 900)
     tracemalloc.start()
     try:
-        assert worst_case(ZeroStrategy(), 5000) == (1, (-1,) * 5000)
+        result = worst_case(Idle(), 5000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert result == (1, (-1,) * 5000) and result.nodes_expanded == 5000
     assert peak < 10 * 2**20
 
 
@@ -262,7 +285,7 @@ def test_minimax_searches_once_per_game(monkeypatch):
         return StoppedAdditive(Fraction(1, 2))
 
     monkeypatch.setattr(reality, "worst_case", counting)
-    for horizon, nodes, hits in ((1, 1, 0), (6, 30, 11)):
+    for horizon, nodes, hits in ((1, 1, 0), (6, 11, 4)):
         calls.clear()
         source = Minimax(make, horizon)
         assert source.search is None

@@ -756,6 +756,30 @@ def test_state_keys_and_snapshots_merge_only_equal_states():
     assert not unsound_keys(lambda strat: verify._snapshot(strat))
 
 
+def moving_stopped_bettors(roots=KEY_ROOTS, depth=8):
+    """The (spec, exact, round) of each stopped state whose stake is not
+    the account's zero, or one of whose children is not stopped at the
+    same wealth, by type and value: reality.worst_case settles a stopped
+    bettor as a leaf and trusts that it never moves again."""
+    bad = []
+    for spec, exact in roots:
+        for n, states in enumerate(tree_states(parse_strategy(spec, exact=exact), depth)):
+            for strat in states:
+                if not strat.stopped:
+                    continue
+                stake, down, up = strat.children()
+                held = (type(strat.wealth), strat.wealth)
+                if (type(stake), stake) != (held[0], 0) or any(
+                        not child.stopped or (type(child.wealth), child.wealth) != held
+                        for child in (down, up)):
+                    bad.append((spec, exact, n))
+    return bad
+
+
+def test_stopped_is_permanent():
+    assert not moving_stopped_bettors()
+
+
 def test_a_hedging_signforce_snapshot_hashes():
     strat = SignForcing(hedge_cap=16)
     feed(strat, [1, -1])  # back at the origin: the hedge holds a value table

@@ -378,8 +378,8 @@ def _tree_sweep():
 
 def test_tree_sweep_expands_a_pinned_number_of_nodes(monkeypatch):
     results, calls = _calls(monkeypatch, _tree_sweep)
-    assert calls["children"] == 7128 == sum(r.nodes_expanded for r in results)
-    assert sum(r.memo_hits for r in results) == 5652
+    assert calls["children"] == 1786 == sum(r.nodes_expanded for r in results)
+    assert sum(r.memo_hits for r in results) == 1290
     assert all(value >= 0 for value, _ in results)
 
 
