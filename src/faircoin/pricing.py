@@ -100,8 +100,9 @@ def _absorption_sweep(l: int, horizon: int):
 class EtaTable:
     """Backward-induction value table for one ticket and truncation horizon.
 
-    ``value(n, s)`` is the exact dyadic price of the ticket at a live state;
-    absorbed states have value equal to the payoff and are not stored.
+    Its reads are ``is_live(n, s)``, ``value(n, s)``, the exact dyadic
+    price at a live state, and ``root_value``.  Absorbed states have value
+    equal to the payoff and are not stored.
     """
 
     l: int
@@ -128,18 +129,12 @@ class EtaTable:
         return Fraction(self._levels[n][(s + self._widths[n]) // 2],
                         1 << self._scale_bits(n))
 
-    def child_value(self, n: int, s: int) -> Fraction:
-        """Value of the state (n, s) seen as a child: payoff if absorbed."""
-        return Fraction(self._child_numerator(n, s), 1 << self._scale_bits(n))
-
     def _child_numerator(self, n: int, s: int) -> int:
-        """child_value(n, s) as a numerator at scale 2**_scale_bits(n)."""
-        if n < 1 or n > self.horizon:
-            raise PricingError(f"round {n} outside table horizon {self.horizon}")
+        """The value or payoff of (n, s) at scale 2**_scale_bits(n).  (n, s)
+        is a child of a live state below the horizon, so it is live or
+        absorbed: the strip widens at most one step a round."""
         if self.is_live(n, s):
             return self._levels[n][(s + self._widths[n]) // 2]
-        if abs(s) > n or (s - n) % 2:
-            raise PricingError(f"state (n={n}, s={s}) is impossible")
         if boundary_exceeds(n, s, self.l):
             return _absorbed_payoff(s) << self._scale_bits(n)
         raise PricingError(f"state (n={n}, s={s}) unreachable in this table")
@@ -198,13 +193,6 @@ def delta_hedge_bet(table: EtaTable, n: int, s: int) -> Fraction:
     up = table._child_numerator(n + 1, s + 1)
     down = table._child_numerator(n + 1, s - 1)
     return Fraction(up - down, 2 << table._scale_bits(n + 1))
-
-
-def lowest_dyadic(num: int, bits: int) -> tuple[int, int]:
-    """num / 2**bits in lowest terms, as (num', bits') with num' / 2**bits':
-    the common factors of two are shifted out, so no gcd is taken."""
-    z = min((num & -num).bit_length() - 1, bits) if num else bits
-    return num >> z, bits - z
 
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)  # Decimal integer arithmetic, never rounded
@@ -274,10 +262,11 @@ class PriceBracket:
         is converted to decimal: upper is (2**k - L)/2**k and live_mass
         (2**(k-1) - L)/2**(k-1), both in lowest terms, got by Decimal
         subtraction from the denominators the line prints anyway."""
-        odd, k = lowest_dyadic(self.lower_num, self.horizon + 1)
-        if not odd:  # nothing absorbed yet: lower 0, the whole mass live
+        num = self.lower_num
+        if not num:  # nothing absorbed yet: lower 0, the whole mass live
             return '"lower": "0/1", "upper": "1/1", "live_mass": "1/1"'
-        lower, half = Decimal(odd), powers(k - 1)  # Decimal() has no digit limit
+        z = (num & -num).bit_length() - 1  # the factors of two, shifted out: no gcd
+        lower, half = Decimal(num >> z), powers(self.horizon - z)  # Decimal() has no digit limit
         whole = _EXACT.add(half, half)
         return (f'"lower": "{lower}/{whole}", '
                 f'"upper": "{_EXACT.subtract(whole, lower)}/{whole}", '

@@ -53,10 +53,11 @@ class Strategy:
     One stake step serves every account and every caller, the game-tree
     walks' ``children()`` included: ``next_stake()`` announces zero while
     ``stopped`` is set, else ``_stake()``, and changes nothing but
-    ``_pending``.  Only ``__init__`` and ``_after`` set ``stopped``, and
-    it is permanent: a stopped bettor stays stopped and stakes zero every
-    round, so its wealth never moves again, and ``reality.worst_case``
-    settles it as a leaf.
+    ``_pending``.  Only ``__init__`` and ``_after`` set ``stopped`` (a
+    mixture's once all its components have), and it is permanent: a
+    stopped bettor stays stopped and stakes zero every round, so its
+    wealth never moves again, and ``reality.worst_case`` settles it as a
+    leaf.
     """
 
     def __init__(self, initial_capital=Fraction(1), exact: bool = True, den: int | None = None,
@@ -295,7 +296,8 @@ class Mixture(Strategy):
 
     Each component bets on its own account; the mixture's stake is the
     weighted sum of component stakes, so its gain is exactly the weighted
-    sum of component gains.  Weights plus tail must sum to one.
+    sum of component gains.  Weights plus tail must sum to one.  The
+    mixture stops once all its components have stopped.
     """
 
     def __init__(self, components, tail_weight=Fraction(0), exact: bool = True):
@@ -312,6 +314,7 @@ class Mixture(Strategy):
         super().__init__(initial, exact=exact)
         self.components = [(number(w, exact), s) for w, s in components]
         self.tail_weight = number(tail_weight, exact)
+        self.stopped = all(s.stopped for _, s in self.components)
 
     def _stake(self):
         if not self.exact:
@@ -328,6 +331,7 @@ class Mixture(Strategy):
     def _after(self, x: int) -> None:
         for _, s in self.components:
             s.observe(x)
+        self.stopped = all(s.stopped for _, s in self.components)
 
     def component_gain(self):
         return sum((w * s.gain for w, s in self.components), zero(self.exact))

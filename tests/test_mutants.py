@@ -24,11 +24,10 @@ from test_cli import (census_lines_are_json_dumps_of_the_counts,
                       census_prints_past_the_digit_floor,
                       price_lines_are_json_dumps_of_the_table_roots)
 from test_game import _csv_writer_text, _json_dumps_text
-from test_pricing import (lowest_dyadic_is_the_fraction_normal_form,
-                          series_lines_are_the_json_lines, series_matches_the_two_sided_sweep,
+from test_pricing import (series_lines_are_the_json_lines, series_matches_the_two_sided_sweep,
                           upper_bracket_roots_are_the_table_roots)
 from test_reality import plain_minimax
-from test_strategies import moving_stopped_bettors, unsound_keys
+from test_strategies import mixture_paths_off_their_parts, moving_stopped_bettors, unsound_keys
 
 # -- mutants: each takes a monkeypatch and breaks one thing ------------------
 
@@ -141,6 +140,20 @@ def children_hand_out_the_pending_stake(patch):
     patch.setattr(Strategy, "children", mutant)
 
 
+def mixture_stops_on_any_component(patch):
+    init, after = Mixture.__init__, Mixture._after
+
+    def mutant_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.stopped = any(s.stopped for _, s in self.components)
+
+    def mutant_after(self, x):
+        after(self, x)
+        self.stopped = any(s.stopped for _, s in self.components)
+    patch.setattr(Mixture, "__init__", mutant_init)
+    patch.setattr(Mixture, "_after", mutant_after)
+
+
 def mixture_key_drops_a_component(patch):
     patch.setattr(Mixture, "state_key",
                   lambda self: ("mix", tuple(s.state_key() for _, s in self.components[1:])))
@@ -230,19 +243,30 @@ def half_sweep_drops_the_centre_mirror(patch):
     patch.setattr(pricing, "_absorption_sweep", mutant)
 
 
-def series_live_mass_over_the_wrong_power(patch):
+def _json_values_from(patch, odd_part, live_mass):
+    """PriceBracket._json_values, for lower > 0, from ``odd_part(num)``, the
+    (L, z) with lower's numerator num = L * 2**z, and from the live mass's
+    numerator ``live_mass(whole, half, L)``."""
     json_values = pricing.PriceBracket._json_values
 
     def mutant(self, powers):
-        odd, k = pricing.lowest_dyadic(self.lower_num, self.horizon + 1)
-        if not odd:
+        if not self.lower_num:
             return json_values(self, powers)
-        lower, half = Decimal(odd), powers(k - 1)
+        odd, z = odd_part(self.lower_num)
+        lower, half = Decimal(odd), powers(self.horizon - z)
         whole = pricing._EXACT.add(half, half)
         return (f'"lower": "{lower}/{whole}", '
                 f'"upper": "{pricing._EXACT.subtract(whole, lower)}/{whole}", '
-                f'"live_mass": "{pricing._EXACT.subtract(whole, lower)}/{half}"')
+                f'"live_mass": "{live_mass(whole, half, lower)}/{half}"')
     patch.setattr(pricing.PriceBracket, "_json_values", mutant)
+
+
+def series_live_mass_over_the_wrong_power(patch):
+    def odd_part(num):
+        z = (num & -num).bit_length() - 1
+        return num >> z, z
+    _json_values_from(patch, odd_part,
+                      lambda whole, half, lower: pricing._EXACT.subtract(whole, lower))
 
 
 def lower_zero_line_with_no_live_mass(patch):
@@ -256,14 +280,9 @@ def lower_zero_line_with_no_live_mass(patch):
 
 
 def lowest_dyadic_keeps_the_factors_of_two(patch):
-    patch.setattr(pricing, "lowest_dyadic", lambda num, bits: (num, bits))
-
-
-def lowest_dyadic_reduces_past_bits(patch):
-    def mutant(num, bits):
-        z = (num & -num).bit_length() - 1 if num else bits
-        return num >> z, bits - z
-    patch.setattr(pricing, "lowest_dyadic", mutant)
+    # lower printed over the bracket's own scale 2**(horizon + 1), unreduced
+    _json_values_from(patch, lambda num: (num, 0),
+                      lambda whole, half, lower: pricing._EXACT.subtract(half, lower))
 
 
 def census_integers_through_plain_str(patch):
@@ -368,12 +387,17 @@ def worst_case_is_the_plain_minimax():
                for rounds in (7, 8))
 
 
-def mixture_worst_case_is_the_plain_minimax():
-    # the stopped component's account tells apart states its sibling shares
-    def make():
-        return parse_strategy("mix:[1/2@stopadd:eps=1/2;1/4@oneside:N=2;1/4]")
-    return all(worst_case(make(), rounds) == plain_minimax(make(), rounds, "final")
-               for rounds in (5, 6))
+def mixture_state_keys_are_sound():
+    # the stopped component's account tells apart states its sibling shares;
+    # a stopped mixture is a leaf of worst_case and never keyed there, so the
+    # key is checked against the states it names directly
+    return not unsound_keys(lambda strat: strat.state_key(),
+                            [("mix:[1/2@stopadd:eps=1/2;1/4@oneside:N=2;1/4]", exact)
+                             for exact in (True, False)])
+
+
+def mixture_parts_add_up():
+    return not mixture_paths_off_their_parts()
 
 
 # exact mulc at three constants: at c = 1/2 the round-3 states W = 3/4 and
@@ -457,7 +481,8 @@ MUTANTS = [
     (mulc_key_without_the_denominator, mulc_state_keys_are_sound),
     (children_announce_a_zero_stake, additive_closed_form),
     (children_hand_out_the_pending_stake, product_capital_walk),
-    (mixture_key_drops_a_component, mixture_worst_case_is_the_plain_minimax),
+    (mixture_key_drops_a_component, mixture_state_keys_are_sound),
+    (mixture_stops_on_any_component, mixture_parts_add_up),
     (mulc_stake_swaps_c, product_capital_walk),
     (product_factor_flips_the_move, product_capital_walk),
     (mulc_announces_the_negated_stake, product_capital_walk),
@@ -469,7 +494,6 @@ MUTANTS = [
     (series_live_mass_over_the_wrong_power, series_lines_are_the_json_lines),
     (lower_zero_line_with_no_live_mass, lower_zero_price_lines_are_json_dumps_of_the_table_roots),
     (lowest_dyadic_keeps_the_factors_of_two, series_lines_are_the_json_lines),
-    (lowest_dyadic_reduces_past_bits, lowest_dyadic_is_the_fraction_normal_form),
     (census_integers_through_plain_str, census_prints_past_the_digit_floor),
     (census_sum_over_twice_the_scale, census_lines_are_json_dumps_of_the_counts),
     (census_b_k_scale_off_by_one, census_lines_are_json_dumps_of_the_counts),

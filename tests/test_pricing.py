@@ -60,22 +60,18 @@ def test_eta_rejects_bad_args():
         eta_table(0, 4, "three-quarters")
 
 
-@pytest.mark.parametrize("n, s", [(1, 3), (1, 4), (2, 1), (3, -4), (4, 6)])
-def test_child_value_rejects_impossible_states(n, s):
-    # |s| > n, or s of the wrong parity: no path reaches (n, s)
-    with pytest.raises(PricingError, match="impossible"):
-        eta_table(0, 5).child_value(n, s)
-
-
 def test_value_and_child_value_refuse_states_off_the_table():
     # at l = 0 the strip is empty after the root: every path is absorbed at round 1
     table = eta_table(0, 5)
     with pytest.raises(PricingError, match=r"\(n=1, s=1\) is not live"):
         table.value(1, 1)
-    with pytest.raises(PricingError, match="round 6 outside table horizon 5"):
-        table.child_value(6, 0)
-    with pytest.raises(PricingError, match=r"\(n=2, s=0\) unreachable"):
-        table.child_value(2, 0)
+
+
+def _child_value_by_value_or_payoff(table, n, s):
+    if table.is_live(n, s):
+        return table.value(n, s)
+    assert boundary_exceeds(n, s, table.l)
+    return Fraction(int(s < 0))
 
 
 def test_eta_martingale_recursion():
@@ -83,8 +79,8 @@ def test_eta_martingale_recursion():
     for n in range(8):
         for s in range(-n, n + 1):
             if table.is_live(n, s):
-                avg = (table.child_value(n + 1, s + 1)
-                       + table.child_value(n + 1, s - 1)) / 2
+                avg = (_child_value_by_value_or_payoff(table, n + 1, s + 1)
+                       + _child_value_by_value_or_payoff(table, n + 1, s - 1)) / 2
                 assert table.value(n, s) == avg
 
 
@@ -144,13 +140,6 @@ def test_delta_hedge_self_financing_playout():
                 stack.append((n + 1, c, w2))
 
 
-def _child_value_by_value_or_payoff(table, n, s):
-    if table.is_live(n, s):
-        return table.value(n, s)
-    assert boundary_exceeds(n, s, table.l)
-    return Fraction(int(s < 0))
-
-
 @given(st.integers(min_value=0, max_value=13), st.integers(min_value=1, max_value=64),
        st.sampled_from(["zero", "one", "half"]))
 @settings(deadline=None, max_examples=60)
@@ -160,9 +149,8 @@ def test_delta_hedge_bet_is_half_the_child_value_spread(l, horizon, tail):
         for s in range(-n, n + 1, 2):
             if not table.is_live(n, s):
                 continue
-            up, down = table.child_value(n + 1, s + 1), table.child_value(n + 1, s - 1)
-            assert up == _child_value_by_value_or_payoff(table, n + 1, s + 1)
-            assert down == _child_value_by_value_or_payoff(table, n + 1, s - 1)
+            up = _child_value_by_value_or_payoff(table, n + 1, s + 1)
+            down = _child_value_by_value_or_payoff(table, n + 1, s - 1)
             assert delta_hedge_bet(table, n, s) == (up - down) / 2
 
 
@@ -264,20 +252,6 @@ def series_lines_are_the_json_lines():
 
 def test_series_lines_are_the_json_lines():
     assert series_lines_are_the_json_lines()
-
-
-def lowest_dyadic_is_the_fraction_normal_form():
-    # num / 2**bits for |num| <= 2**(bits + 1): values from -2 to 2, 0 included
-    for bits in range(10):
-        for num in range(-(2 << bits), (2 << bits) + 1):
-            f = Fraction(num, 1 << bits)
-            if pricing.lowest_dyadic(num, bits) != (f.numerator, f.denominator.bit_length() - 1):
-                return False
-    return True
-
-
-def test_lowest_dyadic_is_the_fraction_normal_form():
-    assert lowest_dyadic_is_the_fraction_normal_form()
 
 
 def upper_bracket_roots_are_the_table_roots():

@@ -235,6 +235,8 @@ MINIMAX_CASES = {
         (Fraction(1, 2), StoppedAdditive(Fraction(1, 2), exact=False)),
         (Fraction(1, 4), OneSided(2, "up", exact=False)),
         (Fraction(1, 4), OneSided(1))]),
+    "mix, all parts stop": lambda: parse_strategy("mix:[1/2@stopadd:eps=2;1/2@oneside:N=1]"),
+    "mix, stopped at the root": lambda: parse_strategy("mix:[1/2@zero;1/2]", exact=False),
 }
 
 
@@ -382,3 +384,20 @@ def test_worst_case_pinned_at_depth_12(spec, objective, value, path):
     got_value, got_path = worst_case(parse_strategy(spec), 12, objective=objective)
     assert got_value == Fraction(value)
     assert got_path == parse_moves(path)
+
+
+# worst_case's work at depth 12, in (nodes expanded, memo hits): a mixture is
+# settled as a leaf once all its components have stopped, and q never stops
+MIXTURE_WORK_PINS = [
+    ("mix:[1/2@zero;1/2]", 1, 0),
+    ("mix:[1/2@stopadd:eps=1/2;1/4@oneside:N=2;1/4]", 116, 62),
+    ("mix:[1/2@stopadd:eps=2;1/2@oneside:N=1]", 42, 25),
+    ("q:depth=3", 1911, 64),
+]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float64"])
+@pytest.mark.parametrize("spec, nodes, hits", MIXTURE_WORK_PINS)
+def test_worst_case_of_a_mixture_expands_a_pinned_number_of_nodes(spec, nodes, hits, exact):
+    result = worst_case(parse_strategy(spec, exact=exact), 12)
+    assert (result.nodes_expanded, result.memo_hits) == (nodes, hits)

@@ -365,6 +365,39 @@ def test_mixture_degenerate_equals_component():
     assert mix.gain == solo.gain
 
 
+# a mixture whose components both stop: stopadd at its guard, oneside at -1 or +1
+STOPPING_MIX = ("mix:[1/2@stopadd:eps=2;1/2@oneside:N=1]",
+                [(Fraction(1, 2), "stopadd:eps=2"), (Fraction(1, 2), "oneside:N=1")])
+
+
+def mixture_paths_off_their_parts():
+    """The (exact, moves) of each path of 8 moves along which STOPPING_MIX
+    stakes other than the weighted sum of its parts' stakes, or holds
+    other than tail + their weighted wealth, the parts played standalone
+    from fresh copies beside it."""
+    spec, parts = STOPPING_MIX
+    tail = 1 - sum(w for w, _ in parts)
+    bad = []
+    for exact in (True, False):
+        num = Fraction if exact else float
+        for bits in range(1 << 8):
+            moves = tuple(1 if bits >> i & 1 else -1 for i in range(8))
+            mixture = parse_strategy(spec, exact=exact)
+            shadow = [(num(w), parse_strategy(part, exact=exact)) for w, part in parts]
+            for x in moves:
+                want = sum((w * s.next_stake() for w, s in shadow), num(0))
+                stake = mixture.next_stake()
+                mixture.observe(x)
+                for _, s in shadow:
+                    s.observe(x)
+                wealth = sum((w * s.wealth for w, s in shadow), num(tail))
+                if (type(stake), stake, type(mixture.wealth), mixture.wealth) != (
+                        num, want, num, wealth):
+                    bad.append((exact, moves))
+                    break
+    return bad
+
+
 def test_mixture_weighted_stakes():
     comps = [(Fraction(1, 1 << i), MultiplicativeContrarian(Fraction(1, 1 << i)))
              for i in range(1, 4)]
@@ -376,6 +409,8 @@ def test_mixture_weighted_stakes():
         mix.observe(x)
         for _, s in shadow:
             s.observe(x)
+    # and on every path of a mixture that stops once both its parts have
+    assert not mixture_paths_off_their_parts()
 
 
 def test_mixture_of_zero_strategies():
@@ -731,8 +766,10 @@ def tree_states(root, depth):
     return rounds
 
 
-# every spec kind in both modes, and mulc at constants whose walks differ
-KEY_ROOTS = [(spec, exact) for spec in SWITCH_SPECS for exact in (True, False)] + [
+# every spec kind in both modes, mulc at constants whose walks differ, and
+# a mixture that stops
+KEY_ROOTS = [(spec, exact) for spec in (*SWITCH_SPECS, STOPPING_MIX[0])
+             for exact in (True, False)] + [
     (f"mulc:c={c}", exact) for c in ("1/3", "2/5") for exact in (True, False)]
 
 
