@@ -19,7 +19,10 @@ mirror is absorbed at the same round on the other side: at every round
 the paths absorbed below equal those absorbed above, and the forward sweep
 carries only the states s <= 0.  The mirror of a path that ends live at
 the horizon is live too, so the one-tail table is the mirrored complement
-of the zero-tail one, V_one(n, s) = 1 - V_zero(n, -s).
+of the zero-tail one, V_one(n, s) = 1 - V_zero(n, -s).  The half-tail
+table, the mean of those two, is its own mirrored complement: it stores
+the states s <= 0 alone, reads each s > 0 as 1 - V(n, -s), and holds
+V(n, 0) = 1/2.
 
 Infinite-horizon upper prices are represented as brackets: the true price
 lies between the roots of the backward inductions with tail value 0 and
@@ -42,6 +45,7 @@ from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
+from operator import add
 
 from .stopping import boundary_exceeds
 
@@ -102,14 +106,17 @@ class EtaTable:
 
     Its reads are ``is_live(n, s)``, ``value(n, s)``, the exact dyadic
     price at a live state, and ``root_value``.  Absorbed states have value
-    equal to the payoff and are not stored.
+    equal to the payoff and are not stored.  The ``"half"`` table stores
+    the states s <= 0 alone and reads each s > 0 as the mirrored
+    complement 1 - V(n, -s) (see ``_backward_levels``).
     """
 
     l: int
     horizon: int
     tail_value: str
     _widths: list[int]  # strip half-widths, see _strip_widths
-    # numerators at scale 2**(horizon - n + 1), indexed by (s + w_n) // 2
+    # numerators at scale 2**(horizon - n + 1), indexed by (s + w_n) // 2;
+    # a "half" level stops at s = 0
     _levels: list[list[int]]
 
     def __hash__(self) -> int:
@@ -126,15 +133,20 @@ class EtaTable:
         """Price at a live state (n, s)."""
         if not self.is_live(n, s):
             raise PricingError(f"state (n={n}, s={s}) is not live in this table")
-        return Fraction(self._levels[n][(s + self._widths[n]) // 2],
-                        1 << self._scale_bits(n))
+        return Fraction(self._live_numerator(n, s), 1 << self._scale_bits(n))
+
+    def _live_numerator(self, n: int, s: int) -> int:
+        """The value of the live state (n, s) at scale 2**_scale_bits(n)."""
+        if s > 0 and self.tail_value == "half":  # the mirror of a stored state
+            return (1 << self._scale_bits(n)) - self._levels[n][(self._widths[n] - s) // 2]
+        return self._levels[n][(s + self._widths[n]) // 2]
 
     def _child_numerator(self, n: int, s: int) -> int:
         """The value or payoff of (n, s) at scale 2**_scale_bits(n).  (n, s)
         is a child of a live state below the horizon, so it is live or
         absorbed: the strip widens at most one step a round."""
         if self.is_live(n, s):
-            return self._levels[n][(s + self._widths[n]) // 2]
+            return self._live_numerator(n, s)
         if boundary_exceeds(n, s, self.l):
             return _absorbed_payoff(s) << self._scale_bits(n)
         raise PricingError(f"state (n={n}, s={s}) unreachable in this table")
@@ -148,19 +160,28 @@ def _backward_levels(widths: list[int], tail_num: int):
     """Yield the value-table levels n = horizon, ..., 0 of the strip
     ``widths`` (horizon = len(widths) - 1), one at a time: level n holds
     numerators at scale 2**(horizon - n + 1), indexed by (s + w_n) // 2,
-    and the live states at the horizon hold ``tail_num`` (at scale 2**1)."""
+    and the live states at the horizon hold ``tail_num`` (at scale 2**1).
+
+    The half tail's table is its own mirrored complement, V(n, -s) =
+    1 - V(n, s), so V(n, 0) = 1/2: its levels hold the states s <= 0
+    alone, pad only the lower absorbed edge, and end each even level with
+    1/2 at s = 0, the mean of a child and its mirror."""
     horizon = len(widths) - 1
-    level = [tail_num] * (widths[horizon] + 1)
+    half = tail_num == _TAIL_NUMS["half"]
+    w = widths[horizon]
+    level = [tail_num] * ((w // 2 if half else w) + 1)
     yield level
     for n in range(horizon - 1, -1, -1):
         w = widths[n]
+        child_bits = horizon - n  # the child scale is 2**(horizon - n)
         if widths[n + 1] < w:
             # the outermost children are absorbed: pad with their payoffs
-            # at the child scale 2**(horizon - n)
-            child_bits = horizon - n
-            level = [_absorbed_payoff(-w - 1) << child_bits, *level,
-                     _absorbed_payoff(w + 1) << child_bits]
-        level = [a + b for a, b in zip(level, level[1:])]  # parent scale doubles
+            level = [_absorbed_payoff(-w - 1) << child_bits, *level]
+            if not half:
+                level.append(_absorbed_payoff(w + 1) << child_bits)
+        level = list(map(add, level, level[1:]))  # parent scale doubles
+        if half and w % 2 == 0:  # a live s = 0; w is -1 once the strip is empty
+            level.append(1 << child_bits)
         yield level
 
 

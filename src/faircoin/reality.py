@@ -101,9 +101,10 @@ def worst_case(strategy, rounds: int, objective: str = "final") -> WorstCase:
     search's counts.  The strategy instance is not mutated.  The search is
     a ``walk_tree`` fold keyed on the strategy's state_key; ties prefer the
     -1 move.  Every node is a clone of the root, so an account of integer
-    numerators over the root's ``_den`` is folded on ``_numerator()`` and
-    its value built once, at the end, as ``wealth`` builds it; other
-    accounts fold on ``wealth``.
+    numerators over a ``_den`` fixed when it was built is folded on
+    ``_numerator()`` and its value built once, at the end, as ``wealth``
+    builds it.  Other accounts fold on ``wealth``, and so does one whose
+    ``_den`` moves as it plays, which sets ``_numerator`` to None.
 
     A stopped bettor bets nothing more (``Strategy.stopped`` is permanent),
     so a stopped child is settled as a leaf is: its value is its wealth now,
@@ -119,8 +120,8 @@ def worst_case(strategy, rounds: int, objective: str = "final") -> WorstCase:
         return WorstCase(strategy.wealth, (), 0, 0)
     if rounds > game.STATE_BUDGET:
         raise RealityError(f"minimax depth {rounds} is over the state budget {game.STATE_BUDGET}")
-    den = strategy._den
-    account = type(strategy)._numerator if den else attrgetter("wealth")
+    numerator = strategy._den and type(strategy)._numerator  # falsy unless its fold is sound
+    account = numerator or attrgetter("wealth")
 
     # a path is a linked list of (move, rest) cells, None at its end, so a
     # memo entry shares its child's cells instead of copying them; a path
@@ -145,7 +146,9 @@ def worst_case(strategy, rounds: int, objective: str = "final") -> WorstCase:
         x, cell = cell
         path.append(x)
     path += [-1] * (rounds - len(path))
-    return WorstCase(strategy._value(value) if den else value, tuple(path), expanded, hits)
+    if numerator:
+        value = strategy._value(value)
+    return WorstCase(value, tuple(path), expanded, hits)
 
 
 class Minimax(RealitySource):

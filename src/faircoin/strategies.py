@@ -43,17 +43,24 @@ class Strategy:
     numerators over ``_den``; a Fraction is built only for a value handed
     out.  ``_numerator()`` reads such an account, ``_w0 + _k``, for
     ``reality.worst_case``'s fold; ``wealth`` does not call it, so a check
-    can patch one and compare against the other.  An exact bettor built with ``product=True`` stakes a ratio of its
-    wealth and keeps the wealth itself in ``_k``, a running product, with
-    ``_den`` 0: ``_stake()`` returns the ratio r, ``next_stake()``
-    announces r times the wealth, and ``observe()`` settles through
-    ``game.settle_product``, bound as ``_settle`` when the bettor is
-    built.  Otherwise ``_den`` is None and they are numbers of the mode.
+    can patch one and compare against the other.  ``SignForcing`` keeps
+    integer numerators too, over a ``_den`` it re-bases at each hedge, and
+    sets ``_numerator`` to None.  An exact bettor built with
+    ``product=True`` stakes a ratio of its wealth and keeps the wealth
+    itself in ``_k``, a running product, with ``_den`` 0: ``_stake()``
+    returns the ratio r, ``next_stake()`` announces r times the wealth,
+    and ``observe()`` settles through ``game.settle_product``, bound as
+    ``_settle`` when the bettor is built.  Otherwise ``_den`` is None and
+    they are numbers of the mode.
 
     One stake step serves every account and every caller, the game-tree
     walks' ``children()`` included: ``next_stake()`` announces zero while
     ``stopped`` is set, else ``_stake()``, and changes nothing but
-    ``_pending``.  Only ``__init__`` and ``_after`` set ``stopped`` (a
+    ``_pending``.  ``_stake()``, the stake-return hook, returns the stake
+    in account units, or the pair (numerator, value) of an integer account
+    that has the value already reduced: ``next_stake()`` pends the
+    numerator and hands out the value, with no Fraction built from the
+    numerator.  Only ``__init__`` and ``_after`` set ``stopped`` (a
     mixture's once all its components have), and it is permanent: a
     stopped bettor stays stopped and stakes zero every round, so its
     wealth never moves again, and ``reality.worst_case`` settles it as a
@@ -110,6 +117,9 @@ class Strategy:
         if self._pending is not None:
             raise StrategyError("next_stake() called twice without observe()")
         num = type(self._w0)() if self.stopped else self._stake()  # the account's zero
+        if type(num) is tuple:  # a numerator and the value it stands for
+            self._pending, value = num
+            return value
         self._pending = num  # in account units, for observe() to settle
         return num if self._den is None else self._value(num)
 
@@ -384,10 +394,23 @@ class SignForcing(Strategy):
     attempted only when that horizon is at least 2 * w.  Excursions that
     outlive their table, or start too late to attempt, are carried without
     bets and recorded as unhedged.
+
+    The account is integer numerators over ``_den``, re-based at each
+    hedged origin return onto D = W_w.denominator * 2**(horizon + 1), W_w
+    the wealth there.  The hedge bet at relative round n is
+    (up - down) / 2**(horizon - n + 1) with n >= 0, so its reduced
+    denominator divides 2**(horizon + 1), and W_w times it has a
+    denominator dividing D: every stake of the hedge is an integer over D,
+    and each round settles an int.  ``_stake()`` hands out the stake
+    W_w * bet, the one Fraction reduced a round, and pends its numerator
+    over D.  As ``_den`` moves, ``reality.worst_case`` folds this account
+    on ``wealth``, not on numerators.
     """
 
+    _numerator = None  # numerators over different re-bases are not comparable
+
     def __init__(self, hedge_cap: int = 1024, run_horizon: int | None = None):
-        super().__init__(Fraction(1), exact=True)
+        super().__init__(Fraction(1), exact=True, den=1)
         self.hedge_cap = _size("hedge_cap", hedge_cap, 4)
         self.run_horizon = None if run_horizon is None else _size("run_horizon", run_horizon, 0)
         self.excursion_log: list[ExcursionOutcome] = []
@@ -396,10 +419,14 @@ class SignForcing(Strategy):
         self._table = None  # the running hedge's value table; None bets nothing
 
     def _stake(self):
-        if self._table is None:
-            return ZERO
+        if self._table is None:  # the account's zero, handed out as a Fraction
+            return 0, ZERO
         rel = self.n - self._w
-        return self._w_wealth * pricing.delta_hedge_bet(self._table, rel, self.s)
+        value = self._w_wealth * pricing.delta_hedge_bet(self._table, rel, self.s)
+        scale, rest = divmod(self._den, value.denominator)
+        if rest:  # never truncate a stake: see the class docstring
+            raise StrategyError(f"stake {value} is not an integer over the account's {self._den}")
+        return value.numerator * scale, value
 
     def _after(self, x: int) -> None:
         if self._w is None:
@@ -420,9 +447,12 @@ class SignForcing(Strategy):
         if self.run_horizon is not None:
             horizon = min(horizon, self.run_horizon - w)
         self._w = w
-        self._w_wealth = self.wealth
+        self._w_wealth = wealth = self.wealth
         if horizon >= 2 * w:
             self._table = pricing.eta_table(w, horizon, "half")
+            # re-base: the initial capital 1 and the wealth over D
+            self._den = self._w0 = den = wealth.denominator << (horizon + 1)
+            self._k = (wealth.numerator << (horizon + 1)) - den
 
     def clone(self) -> "SignForcing":
         new = super().clone()

@@ -17,17 +17,19 @@ from faircoin import cli, game, pricing, strategies, verify
 from faircoin.game import run_game
 from faircoin.pricing import replicate_and_verify
 from faircoin.reality import FixedPath, worst_case
-from faircoin.strategies import (Mixture, MultiplicativeContrarian, OneSided, StoppedAdditive,
-                                 Strategy, parse_strategy, truncated_q)
+from faircoin.strategies import (Mixture, MultiplicativeContrarian, OneSided, SignForcing,
+                                 StoppedAdditive, Strategy, parse_strategy, truncated_q)
 from faircoin.verify import VerifyError, exhaustive, product_capital
 from test_cli import (census_lines_are_json_dumps_of_the_counts,
                       census_prints_past_the_digit_floor,
                       price_lines_are_json_dumps_of_the_table_roots)
 from test_game import _csv_writer_text, _json_dumps_text
-from test_pricing import (series_lines_are_the_json_lines, series_matches_the_two_sided_sweep,
+from test_pricing import (half_table_is_the_mean_of_the_full_tables,
+                          series_lines_are_the_json_lines, series_matches_the_two_sided_sweep,
                           upper_bracket_roots_are_the_table_roots)
-from test_reality import plain_minimax
-from test_strategies import mixture_paths_off_their_parts, moving_stopped_bettors, unsound_keys
+from test_reality import hedging_sign_forcing, plain_minimax
+from test_strategies import (mixture_paths_off_their_parts, moving_stopped_bettors,
+                             sign_forcing_settlement_faults, unsound_keys)
 
 # -- mutants: each takes a monkeypatch and breaks one thing ------------------
 
@@ -66,6 +68,41 @@ def stopadd_resumes(patch):
 
 def worst_case_fold_drops_the_initial_capital(patch):
     patch.setattr(Strategy, "_numerator", lambda self: self._k)
+
+
+def worst_case_folds_sign_forcing_on_numerators(patch):
+    # each hedge re-bases the account, so the nodes' numerators are over
+    # different denominators
+    patch.setattr(SignForcing, "_numerator", Strategy._numerator)
+
+
+def sign_forcing_settles_one_bit_off_scale(patch):
+    stake = SignForcing._stake
+
+    def mutant(self):
+        num, value = stake(self)
+        return num >> 1, value  # half the stake handed out
+    patch.setattr(SignForcing, "_stake", mutant)
+
+
+def sign_forcing_rebase_keeps_the_old_w0(patch):
+    start = SignForcing._start_excursion
+
+    def mutant(self):
+        w0 = self._w0
+        start(self)
+        self._w0 = w0
+    patch.setattr(SignForcing, "_start_excursion", mutant)
+
+
+def half_table_mirror_drops_the_complement(patch):
+    live = pricing.EtaTable._live_numerator
+
+    def mutant(self, n, s):
+        if s > 0 and self.tail_value == "half":  # V(n, -s) in place of 1 - V(n, -s)
+            return live(self, n, -s)
+        return live(self, n, s)
+    patch.setattr(pricing.EtaTable, "_live_numerator", mutant)
 
 
 def _stop_guard_shifted(patch, rounds, offset):
@@ -381,10 +418,20 @@ def stopped_additive_collateral_eps_2():
 
 def worst_case_is_the_plain_minimax():
     # m = 4: the guard stops the bettor on some paths by round 7, and the
-    # fold settles those children as leaves
-    return all(worst_case(StoppedAdditive(Fraction(1, 2)), rounds)
-               == plain_minimax(StoppedAdditive(Fraction(1, 2)), rounds, "final")
-               for rounds in (7, 8))
+    # fold settles those children as leaves; the sign-forcing root is
+    # hedging already, and re-bases again at each later hedge
+    return all(worst_case(make(), rounds) == plain_minimax(make(), rounds, "final")
+               for make, depths in ((lambda: StoppedAdditive(Fraction(1, 2)), (7, 8)),
+                                    (hedging_sign_forcing, (5, 6)))
+               for rounds in depths)
+
+
+def sign_forcing_settles_every_path():
+    return not sign_forcing_settlement_faults(depth=6)
+
+
+def half_table_is_the_mean_at_small_offsets():
+    return half_table_is_the_mean_of_the_full_tables(offsets=range(4), horizons=range(1, 17))
 
 
 def mixture_state_keys_are_sound():
@@ -471,6 +518,10 @@ MUTANTS = [
     (stopadd_resumes, worst_case_is_the_plain_minimax),
     (stopadd_resumes, stopadd_stays_stopped),
     (worst_case_fold_drops_the_initial_capital, worst_case_is_the_plain_minimax),
+    (worst_case_folds_sign_forcing_on_numerators, worst_case_is_the_plain_minimax),
+    (sign_forcing_settles_one_bit_off_scale, sign_forcing_settles_every_path),
+    (sign_forcing_rebase_keeps_the_old_w0, sign_forcing_settles_every_path),
+    (half_table_mirror_drops_the_complement, half_table_is_the_mean_at_small_offsets),
     (stop_guard_one_round_late, stopped_additive_collateral),
     (stop_guard_offset_m_plus_one, stopped_additive_collateral_eps_2),
     (gain_ignores_the_denominator, additive_closed_form),

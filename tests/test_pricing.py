@@ -101,6 +101,35 @@ def test_eta_half_tail_root_exactly_half():
             assert eta_table(l, h, "half").root_value == Fraction(1, 2)
 
 
+def half_table_is_the_mean_of_the_full_tables(offsets=range(14),
+                                              horizons=(*range(1, 41), 64, 257)):
+    """True when, at every live state, the "half" table's value() is the
+    mean of the full-strip "zero" and "one" tables' stored numerators, and
+    1/2 at s = 0 on every even level.  The half table stores s <= 0 alone,
+    so each s > 0 is read through its mirror."""
+    for l in offsets:
+        for h in horizons:
+            half, zero, one = (eta_table(l, h, tail) for tail in ("half", "zero", "one"))
+            if half._widths != zero._widths:
+                return False
+            for n, w in enumerate(zero._widths):
+                for i in range(w + 1):
+                    s = 2 * i - w
+                    v = half.value(n, s)
+                    if v != Fraction(zero._levels[n][i] + one._levels[n][i], 2 << (h - n + 1)):
+                        return False
+                    if s == 0 and v != Fraction(1, 2):
+                        return False
+    return True
+
+
+def test_half_table_is_the_mean_of_the_full_tables():
+    assert half_table_is_the_mean_of_the_full_tables()
+    # l = 13, h = 257: the half table stores 1,410 states, the full strip 2,691
+    assert sum(map(len, eta_table(13, 257, "half")._levels)) == 1410
+    assert sum(map(len, eta_table(13, 257, "zero")._levels)) == 2691
+
+
 # -- delta hedge ------------------------------------------------------------
 
 def test_delta_hedge_one_step_replication():

@@ -216,6 +216,16 @@ def plain_minimax(strat, rounds, objective):
     return best
 
 
+def hedging_sign_forcing():
+    """SignForcing(hedge_cap=16) fed +1, -1: back at the origin at round 2,
+    its account already re-based onto the scale of its first hedge."""
+    strat = SignForcing(hedge_cap=16)
+    for x in (1, -1):
+        strat.next_stake()
+        strat.observe(x)
+    return strat
+
+
 MINIMAX_CASES = {
     **{f"stopadd m={m}": lambda m=m: StoppedAdditive(Fraction(2, m)) for m in (1, 2, 4, 8)},
     "oneside down": lambda: OneSided(2, "down"),
@@ -227,6 +237,7 @@ MINIMAX_CASES = {
     "pathbet": lambda: parse_strategy("pathbet:target=+-+,budget=1/8"),
     "zero": lambda: ZeroStrategy(),
     "signforce": lambda: SignForcing(),
+    "signforce, hedging at the root": hedging_sign_forcing,
     "q exact": lambda: truncated_q(3),
     "q float": lambda: truncated_q(3, exact=False),
     "float mix": lambda: parse_strategy("mix:[1/2@stopadd:eps=1/2;1/4@oneside:N=2;1/4]",

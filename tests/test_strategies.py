@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircoin import verify
+from faircoin import pricing, verify
 from faircoin.game import run_game
 from faircoin.reality import FixedPath
 from faircoin.strategies import (
@@ -496,6 +496,61 @@ def test_sign_forcing_table_stops_at_the_run_horizon():
     strat = SignForcing(run_horizon=10)
     feed(strat, [1, 1, -1, -1])  # w = 4: 10 - 4 = 6 < 8, too late to attempt
     assert (strat._w, strat._table, strat.next_stake()) == (4, None, 0)
+
+
+def sign_forcing_settlement_faults(depth=10, cap=64):
+    """The faults of SignForcing(hedge_cap=cap) played on every path of
+    ``depth`` moves, one (path, what) pair each.  Each logged multiplier
+    must be exactly 3/2 (a hit below) or 1/2 (above) when hedged and 1
+    otherwise, the initial capital 1 and the gain the wealth minus 1.  The
+    wealth must be the product of the multipliers, times 1/2 + V(n - w, s)
+    while a hedge from w is still open: half the wealth at w is cash, and
+    the other half bought W_w tickets at the half table's root 1/2, which
+    the hedge carries at the table's value.  Every re-base of the account
+    must keep all three at their scale."""
+    faults = []
+    for bits in range(1 << depth):
+        path = [1 if bits >> i & 1 else -1 for i in range(depth)]
+        strat = SignForcing(hedge_cap=cap)
+        feed(strat, path)
+        product = Fraction(1)
+        for e in strat.excursion_log:
+            want = (Fraction(3, 2) if e.side == -1 else Fraction(1, 2)) if e.hedged else 1
+            if e.multiplier != want:
+                faults.append((path, f"multiplier {e.multiplier} at w={e.w}, want {want}"))
+            product *= e.multiplier
+        if strat._table is not None:
+            product *= Fraction(1, 2) + strat._table.value(strat.n - strat._w, strat.s)
+        if strat.wealth != product:
+            faults.append((path, f"wealth {strat.wealth}, want {product}"))
+        if strat.gain != strat.wealth - 1 or strat.initial_capital != 1:
+            faults.append((path, f"gain {strat.gain} from capital {strat.initial_capital}"))
+    return faults
+
+
+def test_sign_forcing_settles_every_path_exactly():
+    assert not sign_forcing_settlement_faults()
+
+
+def test_sign_forcing_rebases_onto_its_hedge_scale():
+    # the origin return at w = 2 hedges to horizon 64: D = 1 * 2**65 holds
+    # every stake, and the wealth 1 is D over D
+    strat = SignForcing(hedge_cap=64)
+    feed(strat, [1, -1])
+    assert (strat._den, strat._w0, strat._k) == (1 << 65, 1 << 65, 0)
+    stake = strat.next_stake()
+    assert type(stake) is Fraction and type(strat._pending) is int
+    assert Fraction(strat._pending, strat._den) == stake
+
+
+def test_sign_forcing_refuses_a_stake_off_its_scale(monkeypatch):
+    # a stake whose denominator does not divide D fails, never truncated
+    strat = SignForcing(hedge_cap=64)
+    feed(strat, [1, -1])
+    monkeypatch.setattr(pricing, "delta_hedge_bet", lambda *args: Fraction(1, 3))
+    with pytest.raises(StrategyError, match=r"stake 1/3 is not an integer over"):
+        strat.next_stake()
+    assert strat._pending is None
 
 
 def test_sign_forcing_wealth_never_negative():
