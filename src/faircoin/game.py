@@ -40,11 +40,13 @@ def walk_tree(root, depth: int, expand, key, error: type[Exception], what: str):
     ``expand(node, n)`` is a generator: it yields each child of the node at
     round n that it folds, is sent back that child's value, and returns the
     node's value.  Nodes of equal round and ``key(node)`` expand once; a None
-    key, or ``key=None``, never merges, and a root with no key is refused up
-    front when its 2**depth - 1 inner nodes are over STATE_BUDGET.  The walk
-    is depth first and keeps its path on a list, so only the budget bounds
-    its depth; going over it raises ``error``, naming ``what``.  Returns the
-    root's value, the number of nodes expanded and the number of memo hits.
+    key, or ``key=None``, never merges.  The walk is depth first and keeps
+    its path on a list, so only STATE_BUDGET bounds its depth: a depth below
+    1 or over the budget, or a keyless root whose 2**depth - 1 inner nodes
+    are over it, is refused before the root is expanded, and the walk stops
+    at its first expansion past the budget, each time raising ``error``,
+    naming ``what``.  Returns the root's value, the number of nodes expanded
+    and the number of memo hits.
 
     Each visit hashes its memo key once: ``setdefault`` enters a one-item
     list, the node's cell, that holds ``pending`` until the node's fold
@@ -52,6 +54,10 @@ def walk_tree(root, depth: int, expand, key, error: type[Exception], what: str):
     fresh object, not the memo, so a walk that raises leaves no reference
     cycle to keep its memo alive.
     """
+    if depth < 1:
+        raise error(f"{what} depth must be >= 1")
+    if depth > STATE_BUDGET:
+        raise error(f"{what} depth {depth} is over the state budget {STATE_BUDGET}")
     memo: dict = {}
     pending = object()
     expanded = hits = 0

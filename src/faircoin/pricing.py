@@ -66,8 +66,11 @@ def _strip_widths(l: int, horizon: int) -> list[int]:
     """Half-width w_n of the live strip for n = 0..horizon, -1 once empty.
 
     Round n can widen the strip by one step from round n - 1, up to the
-    boundary radius isqrt(n + l) - 1, and keeps the parity of n.
+    boundary radius isqrt(n + l) - 1, and keeps the parity of n.  Every
+    table and sweep starts here, so this refuses a horizon below 1.
     """
+    if horizon < 1:
+        raise PricingError("horizon must be >= 1")
     if l < 0:
         raise PricingError("offset l must be >= 0")
     widths = [0]
@@ -192,12 +195,9 @@ def eta_table(l: int, horizon: int, tail_value: str = "zero") -> EtaTable:
     bracket table, one the upper table; half is the symmetric table whose
     root is exactly 1/2 and which the excursion hedge uses).
     """
-    if horizon < 1:
-        raise PricingError("horizon must be >= 1")
+    widths = _strip_widths(l, horizon)
     if tail_value not in TAIL_VALUES:
         raise PricingError(f"tail_value must be one of {TAIL_VALUES}")
-
-    widths = _strip_widths(l, horizon)
     levels = list(_backward_levels(widths, _TAIL_NUMS[tail_value]))
     levels.reverse()
     return EtaTable(l=l, horizon=horizon, tail_value=tail_value,
@@ -299,8 +299,6 @@ def upper_price_bracket(l: int, horizon: int) -> PriceBracket:
     the root of the zero-tail backward induction, run holding one level of
     its table at a time, and 1 minus it, the one-tail root by the
     reflection."""
-    if horizon < 1:
-        raise PricingError("horizon must be >= 1")
     levels = _backward_levels(_strip_widths(l, horizon), _TAIL_NUMS["zero"])
     return PriceBracket(l, horizon, deque(levels, maxlen=1)[0][0])
 
@@ -313,8 +311,6 @@ def bracket_series(l: int, horizon: int) -> list[PriceBracket]:
     which by the reflection is the negative one, so a single forward pass
     over half the live strip yields the whole series.
     """
-    if horizon < 1:
-        raise PricingError("horizon must be >= 1")
     out: list[PriceBracket] = []
     neg = 0  # the negative mass at scale 2**(n + 1)
     for n, (_, edge) in enumerate(_absorption_sweep(l, horizon), start=1):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from operator import attrgetter
 
-from . import game
 from .game import parse_moves, spec_args, validate_move, walk_tree
 
 
@@ -109,8 +108,8 @@ def worst_case(strategy, rounds: int, objective: str = "final") -> WorstCase:
     A stopped bettor bets nothing more (``Strategy.stopped`` is permanent),
     so a stopped child is settled as a leaf is: its value is its wealth now,
     its path the moves of -1 that ties pick, and it is not expanded.  The
-    counts cover only the nodes expanded.  The path holds a move a round,
-    so a depth over ``game.STATE_BUDGET`` is refused up front.
+    counts cover only the nodes expanded.  ``walk_tree`` refuses a depth
+    over its state budget before the root is expanded.
     """
     if rounds < 0:
         raise RealityError(f"minimax depth must be >= 0, got {rounds}")
@@ -118,8 +117,6 @@ def worst_case(strategy, rounds: int, objective: str = "final") -> WorstCase:
         raise RealityError(f"unknown objective {objective!r}")
     if rounds == 0:
         return WorstCase(strategy.wealth, (), 0, 0)
-    if rounds > game.STATE_BUDGET:
-        raise RealityError(f"minimax depth {rounds} is over the state budget {game.STATE_BUDGET}")
     numerator = strategy._den and type(strategy)._numerator  # falsy unless its fold is sound
     account = numerator or attrgetter("wealth")
 

@@ -205,7 +205,8 @@ def _walk(identity: str, depth: int, state: tuple, step, engine=None) -> Identit
     for each move x, -1 first.  ``failure`` is None when the child checks
     out, else the discrepancy to report.  The walk stops at the first
     failure; ``paths_checked`` counts the full-length paths reached, a
-    failing leaf included.
+    failing leaf included.  ``walk_tree`` refuses a depth below 1 or over
+    its state budget before the root is expanded.
 
     A node that carries an engine has a future that is a function of its
     complete state, so it is keyed on its state followed by the engine's
@@ -214,8 +215,6 @@ def _walk(identity: str, depth: int, state: tuple, step, engine=None) -> Identit
     of the plain tree walk.  The oracle-only walks carry path-dependent
     sums and are not keyed.
     """
-    if depth < 1:
-        raise VerifyError("exhaustive depth must be >= 1")
     path = []  # the failing path, leaf move first, built as the walk unwinds
 
     def expand(node, n):

@@ -13,7 +13,7 @@ from faircoin import cli, game, pricing
 from faircoin.cli import main
 from faircoin.game import GameTrace, fmt_number
 from faircoin.pricing import PriceBracket, enumerate_absorption, eta_table
-from faircoin.strategies import StrategyError, parse_strategy
+from faircoin.strategies import Strategy, StrategyError, parse_strategy
 from faircoin.verify import product_capital
 
 
@@ -534,6 +534,19 @@ def test_minimax_over_the_state_budget_exits_2(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "faircoin: minimax depth 40 is over the state budget 1024"]
+
+
+def test_verify_deeper_than_the_state_budget_exits_2_before_it_expands(capsys, monkeypatch):
+    # the walk's path holds a frame a round, so its depth is refused up front
+    calls = []
+    children = Strategy.children
+    monkeypatch.setattr(Strategy, "children", lambda self: calls.append(self) or children(self))
+    monkeypatch.setattr(game, "STATE_BUDGET", 1 << 10)
+    assert main(["verify", "--check", "additive-closed-form", "--depth", "1025"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, calls) == ("", [])
+    assert captured.err.splitlines() == [
+        "faircoin: exhaustive depth 1025 is over the state budget 1024"]
 
 
 def test_minimax_runs_past_the_interpreter_recursion_limit(capsys):

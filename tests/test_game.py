@@ -478,6 +478,24 @@ def test_walk_tree_refuses_a_keyless_root_over_budget_up_front(monkeypatch):
     assert _count_walk(4, lambda s: s)[0] == 16
 
 
+def test_walk_tree_refuses_a_depth_out_of_range_up_front(monkeypatch):
+    monkeypatch.setattr(game, "STATE_BUDGET", 7)
+    expanded = Counter()
+
+    def expand(s, n):
+        expanded[n, s] += 1
+        yield s
+
+    with pytest.raises(GameError, match="^toy depth must be >= 1$"):
+        walk_tree(0, 0, expand, lambda s: s, GameError, "toy")
+    # the depth bound comes first: a keyless root deeper than the budget
+    # reads as over it, not as 2**depth - 1 states
+    for key in (lambda s: s, None):
+        with pytest.raises(GameError, match="^toy depth 8 is over the state budget 7$"):
+            walk_tree(0, 8, expand, key, GameError, "toy")
+    assert not expanded
+
+
 def test_walk_tree_that_raises_frees_its_memo_without_the_cycle_collector(monkeypatch):
     class Key:  # hashed by identity; a weak reference shows when the memo lets go
         pass
@@ -491,9 +509,9 @@ def test_walk_tree_that_raises_frees_its_memo_without_the_cycle_collector(monkey
 
     monkeypatch.setattr(game, "STATE_BUDGET", 5)
     gc.disable()
-    try:
+    try:  # depth 5 is within the budget, and its sixth expansion is over it
         with pytest.raises(GameError, match="over the state budget 5"):
-            _count_walk(8, key)
+            _count_walk(5, key)
         assert len(keys) == 6 and all(k() is None for k in keys)
     finally:
         gc.enable()

@@ -197,9 +197,19 @@ def test_bracket_examples():
         assert (b.lower, b.upper) == (Fraction(1, 2), Fraction(1, 2))
 
 
-def test_bracket_series_rejects_horizon_zero():
-    with pytest.raises(PricingError, match="horizon must be >= 1"):
-        bracket_series(0, 0)
+@pytest.mark.parametrize("build", [eta_table, upper_price_bracket, bracket_series])
+def test_pricing_entry_points_reject_horizon_zero(build):
+    with pytest.raises(PricingError, match="^horizon must be >= 1$"):
+        build(0, 0)
+
+
+def test_eta_table_checks_horizon_then_offset_then_tail():
+    with pytest.raises(PricingError, match="^horizon must be >= 1$"):
+        eta_table(-1, 0, "bogus")
+    with pytest.raises(PricingError, match="^offset l must be >= 0$"):
+        eta_table(-1, 3, "bogus")
+    with pytest.raises(PricingError, match="^tail_value must be one of"):
+        eta_table(0, 3, "bogus")
 
 
 def test_bracket_series_matches_eta_roots():

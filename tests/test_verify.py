@@ -11,8 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircoin import game, verify
-from faircoin.reality import worst_case
-from faircoin.strategies import MultiplicativeContrarian, OneSided, StoppedAdditive, Strategy
+from faircoin.reality import RealityError, worst_case
+from faircoin.strategies import (
+    AdditiveContrarian,
+    MultiplicativeContrarian,
+    OneSided,
+    StoppedAdditive,
+    Strategy,
+)
 from faircoin.verify import (
     CHECKS,
     VerifyError,
@@ -83,6 +89,21 @@ def test_exhaustive_product_depth8():
     for c in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
         report = exhaustive_product_check(c, 8)
         assert report.passed and report.paths_checked == 256
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_exhaustive_product_fails_on_a_factor_that_is_not_positive(monkeypatch, depth):
+    # at c = 1 the factor 1 - c * xbar_1 * x_2 is 0 after -1, -1; the
+    # engine and the walk's product still agree there (both are 0), so only
+    # the positivity check can report it
+    class CIsOne(MultiplicativeContrarian):
+        def __init__(self, c, exact=True):
+            super().__init__(Fraction(1, 2), exact)
+            self.c = Fraction(1)
+
+    monkeypatch.setattr(verify, "MultiplicativeContrarian", CIsOne)
+    report = exhaustive_product_check(1, depth)
+    assert (report.counterexample, report.max_discrepancy) == ((-1, -1), 1)
 
 
 def test_exhaustive_summation_depth10():
@@ -160,6 +181,25 @@ def test_state_budget_bounds_every_walk(monkeypatch):
     for check in ("summation-identity", "log-lower-bound"):
         with pytest.raises(VerifyError, match=r"all 2\*\*23 - 1 states"):
             exhaustive(23, check)
+
+
+@pytest.mark.parametrize("walk, error, what", [
+    (lambda depth: exhaustive(depth, "additive-closed-form"), VerifyError, "exhaustive"),
+    (lambda depth: worst_case(AdditiveContrarian(2), depth), RealityError, "minimax"),
+], ids=["verify", "worst_case"])
+def test_a_walk_deeper_than_the_budget_is_refused_before_its_first_expansion(
+        monkeypatch, walk, error, what):
+    # the path holds a frame a round, so game.walk_tree refuses the depth
+    # itself for every caller, before any node is expanded
+    calls = []
+    children = Strategy.children
+    monkeypatch.setattr(Strategy, "children", lambda self: calls.append(self) or children(self))
+    monkeypatch.setattr(game, "STATE_BUDGET", 64)
+    with pytest.raises(error, match=f"^{what} depth 65 is over the state budget 64$"):
+        walk(65)
+    assert calls == []
+    walk(4)
+    assert calls  # the count sees the expansions of a walk within the budget
 
 
 def test_merging_walk_reaches_depth_256():
