@@ -11,7 +11,13 @@ built by backward induction over the strip; absorption statistics and
 the replication check share one forward sweep of path counts
 (``_absorption_sweep``).  All values are dyadic rationals, stored as
 integer numerators against a per-level power-of-two scale, so nothing is
-ever rounded.
+ever rounded.  Every value read out as a Fraction is built by
+``_dyadic``: num / 2**bits has lowest terms (num >> z) / 2**(bits - z),
+z the trailing zero bits of num (at most bits), so a shift finds them
+and the two parts are coprime by construction.  Fraction's public
+constructor always reduces, a gcd of two numbers of up to horizon + 2
+bits here, so the parts go to its private constructor for coprime parts,
+which takes none.
 
 The strip is symmetric under s -> -s, and no walk is absorbed at s = 0,
 since |0| > sqrt(n + l) - 1 would need n + l < 1.  So each absorbed path's
@@ -43,10 +49,11 @@ from collections import deque
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import isqrt
 from operator import add
 
+from .game import ZERO
 from .stopping import boundary_exceeds
 
 _TAIL_NUMS = {"zero": 0, "one": 2, "half": 1}  # tail values as numerators at scale 2**1
@@ -55,6 +62,20 @@ TAIL_VALUES = tuple(_TAIL_NUMS)
 
 class PricingError(Exception):
     pass
+
+
+# a Fraction from coprime parts, with no gcd: Fraction(n, d, _normalize=False)
+# before Python 3.12, Fraction._from_coprime_ints from 3.12 on
+_coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
+
+
+def _dyadic(num: int, bits: int) -> Fraction:
+    """num / 2**bits in lowest terms: once the factors of two the parts
+    share are shifted out, they are coprime, so no gcd is taken."""
+    if not num:
+        return ZERO
+    z = min((num & -num).bit_length() - 1, bits)  # the factors of two the two parts share
+    return _coprime(num >> z, 1 << (bits - z))
 
 
 def _absorbed_payoff(s: int) -> int:
@@ -136,7 +157,7 @@ class EtaTable:
         """Price at a live state (n, s)."""
         if not self.is_live(n, s):
             raise PricingError(f"state (n={n}, s={s}) is not live in this table")
-        return Fraction(self._live_numerator(n, s), 1 << self._scale_bits(n))
+        return _dyadic(self._live_numerator(n, s), self._scale_bits(n))
 
     def _live_numerator(self, n: int, s: int) -> int:
         """The value of the live state (n, s) at scale 2**_scale_bits(n)."""
@@ -213,7 +234,7 @@ def delta_hedge_bet(table: EtaTable, n: int, s: int) -> Fraction:
     # (up - down) / 2 with both children at scale 2**(horizon - n)
     up = table._child_numerator(n + 1, s + 1)
     down = table._child_numerator(n + 1, s - 1)
-    return Fraction(up - down, 2 << table._scale_bits(n + 1))
+    return _dyadic(up - down, table._scale_bits(n + 1) + 1)
 
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)  # Decimal integer arithmetic, never rounded
@@ -249,18 +270,17 @@ class PriceBracket:
     def upper_num(self) -> int:
         return (2 << self.horizon) - self.lower_num
 
-    # each Fraction is built on first read and kept: a gcd per value, once
     @cached_property
     def lower(self) -> Fraction:
-        return Fraction(self.lower_num, 2 << self.horizon)
+        return _dyadic(self.lower_num, self.horizon + 1)
 
     @cached_property
     def upper(self) -> Fraction:
-        return Fraction(self.upper_num, 2 << self.horizon)
+        return _dyadic(self.upper_num, self.horizon + 1)
 
     @cached_property
     def live_mass(self) -> Fraction:
-        return Fraction(self.upper_num - self.lower_num, 2 << self.horizon)
+        return _dyadic(self.upper_num - self.lower_num, self.horizon + 1)
 
     def __repr__(self) -> str:
         return (f"PriceBracket(l={self.l}, horizon={self.horizon}, "
@@ -353,7 +373,7 @@ class AbsorptionCensus:
     @property
     def budget_sum(self) -> Fraction:
         """sum of a_i * 2^-i, the path-bettor replication cost to depth k."""
-        return Fraction(self.b_k, 1 << self.k)
+        return _dyadic(self.b_k, self.k)
 
 
 def enumerate_absorption(l: int, k: int) -> AbsorptionCensus:

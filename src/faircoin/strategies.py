@@ -117,11 +117,14 @@ class Strategy:
         if self._pending is not None:
             raise StrategyError("next_stake() called twice without observe()")
         num = type(self._w0)() if self.stopped else self._stake()  # the account's zero
+        if self._den is None:  # a number of the mode, handed out as it is
+            self._pending = num
+            return num
         if type(num) is tuple:  # a numerator and the value it stands for
             self._pending, value = num
             return value
         self._pending = num  # in account units, for observe() to settle
-        return num if self._den is None else self._value(num)
+        return self._value(num)
 
     def observe(self, x: int) -> None:
         if type(x) is not int or (x != 1 and x != -1):  # two int compares, no tuple search

@@ -24,7 +24,7 @@ from test_cli import (census_lines_are_json_dumps_of_the_counts,
                       census_prints_past_the_digit_floor,
                       price_lines_are_json_dumps_of_the_table_roots)
 from test_game import _csv_writer_text, _json_dumps_text
-from test_pricing import (half_table_is_the_mean_of_the_full_tables,
+from test_pricing import (dyadic_faults, half_table_is_the_mean_of_the_full_tables,
                           series_lines_are_the_json_lines, series_matches_the_two_sided_sweep,
                           upper_bracket_roots_are_the_table_roots)
 from test_reality import hedging_sign_forcing, plain_minimax
@@ -103,6 +103,20 @@ def half_table_mirror_drops_the_complement(patch):
             return live(self, n, -s)
         return live(self, n, s)
     patch.setattr(pricing.EtaTable, "_live_numerator", mutant)
+
+
+def dyadic_keeps_the_factors_of_two(patch):
+    # num over 2**bits as it stands, not in lowest terms
+    patch.setattr(pricing, "_dyadic", lambda num, bits: pricing._coprime(num, 1 << bits))
+
+
+def dyadic_shifts_one_bit_too_far(patch):
+    def mutant(num, bits):
+        if not num:
+            return pricing.ZERO
+        z = min((num & -num).bit_length(), bits)  # the trailing zeros and one bit more
+        return pricing._coprime(num >> z, 1 << (bits - z))
+    patch.setattr(pricing, "_dyadic", mutant)
 
 
 def _stop_guard_shifted(patch, rounds, offset):
@@ -394,6 +408,10 @@ def trace_writers_match_csv_and_json_modules():
             and jsonl_buf.getvalue() == _json_dumps_text(trace))
 
 
+def dyadic_is_the_fraction_in_lowest_terms():
+    return not dyadic_faults()
+
+
 def additive_closed_form():
     return exhaustive(8, "additive-closed-form", eps=Fraction(2, 7)).passed
 
@@ -522,6 +540,8 @@ MUTANTS = [
     (sign_forcing_settles_one_bit_off_scale, sign_forcing_settles_every_path),
     (sign_forcing_rebase_keeps_the_old_w0, sign_forcing_settles_every_path),
     (half_table_mirror_drops_the_complement, half_table_is_the_mean_at_small_offsets),
+    (dyadic_keeps_the_factors_of_two, dyadic_is_the_fraction_in_lowest_terms),
+    (dyadic_shifts_one_bit_too_far, dyadic_is_the_fraction_in_lowest_terms),
     (stop_guard_one_round_late, stopped_additive_collateral),
     (stop_guard_offset_m_plus_one, stopped_additive_collateral_eps_2),
     (gain_ignores_the_denominator, additive_closed_form),

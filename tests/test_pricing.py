@@ -1,6 +1,7 @@
 """Value tables, price brackets, absorption census, and replication."""
 
 import functools
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -131,6 +132,44 @@ def test_half_table_is_the_mean_of_the_full_tables():
 
 
 # -- delta hedge ------------------------------------------------------------
+
+# the odd parts, the powers of two and their multiples, at scales past 64
+# bits and past the 4,300-digit int-to-str limit (14,400 bits)
+DYADIC_BITS = (0, 1, 63, 64, 14_400)
+_ODD = 3 ** 41
+
+
+def dyadic_faults():
+    """The (num, bits) whose pricing._dyadic(num, bits) is not
+    Fraction(num, 1 << bits) in type, numerator, denominator, == or hash."""
+    faults = []
+    for bits in DYADIC_BITS:
+        multiples = (1, _ODD, _ODD << 1, _ODD << max(bits - 1, 0),
+                     1 << bits, 3 << bits, _ODD << (bits + 5))
+        for num in (0, *multiples, *(-m for m in multiples)):
+            got, want = pricing._dyadic(num, bits), Fraction(num, 1 << bits)
+            if (type(got) is not Fraction or got.numerator != want.numerator
+                    or got.denominator != want.denominator or got != want
+                    or hash(got) != hash(want)):
+                faults.append((num, bits))
+    return faults
+
+
+def test_dyadic_is_the_fraction_in_lowest_terms():
+    assert not dyadic_faults()
+    assert pricing._dyadic(0, 14_400) is pricing.ZERO
+
+
+def test_delta_hedge_bet_takes_no_gcd(monkeypatch):
+    states = [(table, n, s) for table in (eta_table(4, 64, "half"), eta_table(0, 32, "one"))
+              for n in range(table.horizon) for s in range(-n, n + 1, 2) if table.is_live(n, s)]
+    want = [delta_hedge_bet(*state) for state in states]
+
+    def gcd(*args):
+        raise AssertionError("math.gcd called")
+    monkeypatch.setattr(math, "gcd", gcd)
+    assert [delta_hedge_bet(*state) for state in states] == want
+
 
 def test_delta_hedge_one_step_replication():
     table = eta_table(0, 1)
