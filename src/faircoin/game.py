@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from typing import IO, NamedTuple
 
 
@@ -132,18 +133,34 @@ def settle(k, stake, x: int):
     return k
 
 
+# a Fraction from coprime parts, with no gcd: Fraction(n, d, _normalize=False)
+# before Python 3.12, Fraction._from_coprime_ints from 3.12 on
+_coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
+
+
+def _mul_lowest(a: int, b: int, t: int, d: int) -> Fraction:
+    """a/b * t/d in lowest terms, for a/b and t/d in lowest terms with b, d > 0:
+    Fraction's own product, its two cross gcds, with no operator dispatch."""
+    g, h = math.gcd(a, d), math.gcd(t, b)
+    if g > 1:  # a division by 1 would still copy a big part
+        a, d = a // g, d // g
+    if h > 1:
+        t, b = t // h, b // h
+    return _coprime(a * t, b * d)
+
+
 def settle_product(w: Fraction, r: Fraction, x: int) -> Fraction:
     """The exact wealth w after a round that staked r * w: w * (1 + r * x).
 
-    For r = n/d that is w * (d + n * x) / d, one product of w with a small
-    Fraction, so each gcd pairs a part of w with a small number, where
-    w + r * w * x would pair two numbers of w's size.  A zero r returns w
-    itself.
+    For r = n/d that is w * (d + n * x) / d, a factor in lowest terms by
+    construction, as gcd(d + n * x, d) = gcd(n, d) = 1.  So a round takes
+    two cross gcds, each of a part of w with a small number, where
+    w + r * w * x would pair two numbers of w's size.  A zero r returns w itself.
     """
     if not r:
         return w
     n, d = r.numerator, r.denominator
-    return w * Fraction(d + n if x == 1 else d - n, d)
+    return _mul_lowest(w.numerator, w.denominator, d + n if x == 1 else d - n, d)
 
 
 def moves_of(prefix) -> tuple[int, ...]:

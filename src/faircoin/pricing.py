@@ -17,7 +17,7 @@ z the trailing zero bits of num (at most bits), so a shift finds them
 and the two parts are coprime by construction.  Fraction's public
 constructor always reduces, a gcd of two numbers of up to horizon + 2
 bits here, so the parts go to its private constructor for coprime parts,
-which takes none.
+``game._coprime``, which takes none.
 
 The strip is symmetric under s -> -s, and no walk is absorbed at s = 0,
 since |0| > sqrt(n + l) - 1 would need n + l < 1.  So each absorbed path's
@@ -49,11 +49,11 @@ from collections import deque
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import isqrt
 from operator import add
 
-from .game import ZERO
+from .game import ZERO, _coprime
 from .stopping import boundary_exceeds
 
 _TAIL_NUMS = {"zero": 0, "one": 2, "half": 1}  # tail values as numerators at scale 2**1
@@ -62,11 +62,6 @@ TAIL_VALUES = tuple(_TAIL_NUMS)
 
 class PricingError(Exception):
     pass
-
-
-# a Fraction from coprime parts, with no gcd: Fraction(n, d, _normalize=False)
-# before Python 3.12, Fraction._from_coprime_ints from 3.12 on
-_coprime = getattr(Fraction, "_from_coprime_ints", None) or partial(Fraction, _normalize=False)
 
 
 def _dyadic(num: int, bits: int) -> Fraction:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import pricing
-from .game import (ZERO, number, parse_moves, settle, settle_product, spec_args,
+from .game import (ZERO, _mul_lowest, number, parse_moves, settle, settle_product, spec_args,
                    spec_value, validate_move, zero)
 from .stopping import boundary_exceeds
 
@@ -93,9 +93,10 @@ class Strategy:
             return num
         if not num:
             return ZERO
-        if den > 1:
-            return Fraction(num, den)
-        return Fraction(num) if den else num * self._k  # Fraction(num) takes no gcd
+        if not den:  # a product account: num is the ratio r of its wealth W
+            w = self._k
+            return _mul_lowest(num.numerator, num.denominator, w.numerator, w.denominator)
+        return Fraction(num, den) if den > 1 else Fraction(num)  # Fraction(num) takes no gcd
 
     def _numerator(self):
         """The account over ``_den`` of a bettor that keeps integer numerators."""
@@ -425,7 +426,8 @@ class SignForcing(Strategy):
         if self._table is None:  # the account's zero, handed out as a Fraction
             return 0, ZERO
         rel = self.n - self._w
-        value = self._w_wealth * pricing.delta_hedge_bet(self._table, rel, self.s)
+        w, bet = self._w_wealth, pricing.delta_hedge_bet(self._table, rel, self.s)
+        value = _mul_lowest(w.numerator, w.denominator, bet.numerator, bet.denominator)
         scale, rest = divmod(self._den, value.denominator)
         if rest:  # never truncate a stake: see the class docstring
             raise StrategyError(f"stake {value} is not an integer over the account's {self._den}")

@@ -399,6 +399,65 @@ def test_settle_keeps_the_bits_at_the_float_edges(k, stake, x):
     assert struct.pack("<d", settle(k, stake, x)) == struct.pack("<d", k + stake * x)
 
 
+# -- settle_product: the wealth times a factor in lowest terms -----------------
+
+# parts of 1, about 2**64 and past 14,400 bits; 6**k shares factors with the
+# ratios' denominators 2, 3 and 12, and 119 * 5**k with the factors' numerators
+# 7, 17 and 10, so each of the two cross gcds has something to cancel
+_WEALTH_PARTS = (1, 6**25, 119 * 5**25, 6**5600, 119 * 5**6210)
+# r = +-1 makes the factor 0 on one move, and r = 7/5 makes it -2/5
+_PRODUCT_RATIOS = tuple(map(Fraction, ("0", "1/2", "-1/2", "1/3", "-1/3", "5/12", "-5/12",
+                                        "1", "-1", "7/5")))
+
+
+def product_faults():
+    """The (w, r, x) whose game.settle_product(w, r, x) is not the public
+    w * (1 + r * x) in type, numerator, denominator, == or hash."""
+    faults = []
+    for p in _WEALTH_PARTS:
+        for q in _WEALTH_PARTS:
+            for w in (Fraction(p, q), Fraction(-p, q)):
+                for r in _PRODUCT_RATIOS:
+                    for x in (-1, 1):
+                        got, want = game.settle_product(w, r, x), w * (1 + r * x)
+                        if (type(got) is not Fraction or got.numerator != want.numerator
+                                or got.denominator != want.denominator or got != want
+                                or hash(got) != hash(want)):
+                            faults.append((w, r, x))
+    return faults
+
+
+def test_settle_product_is_the_public_product_in_lowest_terms():
+    assert not product_faults()
+    zero = game.settle_product(Fraction(6**5600, 7), Fraction(1), -1)  # the factor d - n is 0
+    assert (zero.numerator, zero.denominator) == (0, 1)
+
+
+def mulc_stake_faults(depth=10):
+    """The (c, moves) at which an exact mulc:c hands out a stake that is
+    not r * W, with r = -c * s/n and W its wealth, as the public API
+    computes it: in type, numerator or denominator."""
+    faults = []
+    for c in (Fraction(1, 2), Fraction(1, 3)):
+        stack = [((), parse_strategy(f"mulc:c={c}"))]
+        while stack:
+            moves, strat = stack.pop()
+            n = len(moves)
+            if n == depth:
+                continue
+            want = -c * Fraction(sum(moves), n) * strat.wealth if n else Fraction(0)
+            stake, down, up = strat.children()
+            if type(stake) is not Fraction or (stake.numerator, stake.denominator) != (
+                    want.numerator, want.denominator):
+                faults.append((c, moves))
+            stack += [(moves + (-1,), down), (moves + (1,), up)]
+    return faults
+
+
+def test_mulc_hands_out_the_public_product_in_lowest_terms():
+    assert not mulc_stake_faults()
+
+
 # -- walk_tree: the memoised depth-first fold ----------------------------------
 
 def _count_walk(depth, key):

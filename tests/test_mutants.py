@@ -8,6 +8,7 @@ mutant is caught by what it breaks and not by a check that fails anyway.
 """
 
 import io
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from faircoin.verify import VerifyError, exhaustive, product_capital
 from test_cli import (census_lines_are_json_dumps_of_the_counts,
                       census_prints_past_the_digit_floor,
                       price_lines_are_json_dumps_of_the_table_roots)
-from test_game import _csv_writer_text, _json_dumps_text
+from test_game import _csv_writer_text, _json_dumps_text, mulc_stake_faults, product_faults
 from test_pricing import (dyadic_faults, half_table_is_the_mean_of_the_full_tables,
                           series_lines_are_the_json_lines, series_matches_the_two_sided_sweep,
                           upper_bracket_roots_are_the_table_roots)
@@ -226,6 +227,27 @@ def product_factor_flips_the_move(patch):
     patch.setattr(strategies, "settle_product", lambda w, r, x: settle_product(w, r, -x))
 
 
+def _mul_lowest_skipping(patch, skip_g, skip_h):
+    """game._mul_lowest, in both modules that call it, without the cross
+    gcd g = gcd(a, d) or h = gcd(t, b).  Either way the product is the
+    right number over unreduced parts, which product_capital_walk cannot
+    see: it compares the wealth by cross-multiplying."""
+    def mutant(a, b, t, d):
+        g = 1 if skip_g else math.gcd(a, d)
+        h = 1 if skip_h else math.gcd(t, b)
+        return game._coprime((a // g) * (t // h), (b // h) * (d // g))
+    patch.setattr(game, "_mul_lowest", mutant)
+    patch.setattr(strategies, "_mul_lowest", mutant)
+
+
+def product_skips_the_gcd_of_a_and_d(patch):
+    _mul_lowest_skipping(patch, skip_g=True, skip_h=False)
+
+
+def product_skips_the_gcd_of_t_and_b(patch):
+    _mul_lowest_skipping(patch, skip_g=False, skip_h=True)
+
+
 def mulc_announces_the_negated_stake(patch):
     next_stake = Strategy.next_stake
 
@@ -412,6 +434,14 @@ def dyadic_is_the_fraction_in_lowest_terms():
     return not dyadic_faults()
 
 
+def settle_product_is_the_public_product():
+    return not product_faults()
+
+
+def mulc_stake_is_the_public_product():
+    return not mulc_stake_faults()
+
+
 def additive_closed_form():
     return exhaustive(8, "additive-closed-form", eps=Fraction(2, 7)).passed
 
@@ -556,6 +586,10 @@ MUTANTS = [
     (mixture_stops_on_any_component, mixture_parts_add_up),
     (mulc_stake_swaps_c, product_capital_walk),
     (product_factor_flips_the_move, product_capital_walk),
+    (product_skips_the_gcd_of_a_and_d, settle_product_is_the_public_product),
+    (product_skips_the_gcd_of_t_and_b, settle_product_is_the_public_product),
+    (product_skips_the_gcd_of_a_and_d, mulc_stake_is_the_public_product),
+    (product_skips_the_gcd_of_t_and_b, mulc_stake_is_the_public_product),
     (mulc_announces_the_negated_stake, product_capital_walk),
     (next_stake_leaves_no_pending_stake, additive_closed_form),
     (next_stake_pends_the_handed_out_value, additive_closed_form),
