@@ -123,14 +123,17 @@ def settle(k, stake, x: int):
 
     The sign of x picks k + stake or k - stake, which skips a product:
     a Fraction fewer, and in float64 the same bits, as multiplying by
-    +-1.0 is exact.  An exact zero stake on an exact account returns k
-    itself and does no rational arithmetic, so idle rounds stay cheap.
-    Every other pairing keeps the number type of the sum: a float zero
-    stake still turns a Fraction account into a float.
+    +-1.0 is exact.  An int zero on any account but a float one, and a
+    Fraction zero on a Fraction account, return k itself, so an idle
+    round adds nothing.  Every other zero keeps the type and bits of
+    k + stake * x: a float zero turns a Fraction account into a float,
+    and an exact zero turns the float -0.0 into 0.0.
     """
-    if stake or type(stake) is not Fraction or type(k) is not Fraction:
+    if stake:
         return k + stake if x == 1 else k - stake
-    return k
+    if type(stake) is int and type(k) is not float or type(stake) is Fraction is type(k):
+        return k
+    return k - stake if x == -1 and type(stake) is float else k + stake
 
 
 # a Fraction from coprime parts, with no gcd: Fraction(n, d, _normalize=False)

@@ -6,10 +6,10 @@ s_n > 0.  The claim is Markov in (n, s), and all the work here is over the
 live strip: the states reachable from the root through unabsorbed states,
 with (|s| + 1)^2 <= n + l.  At round n the live sums form one parity class,
 s = -w_n, -w_n + 2, ..., w_n, so the strip is the list of half-widths w_n,
-found with one ``isqrt`` per level (``_strip_widths``).  Value tables are
-built by backward induction over the strip; absorption statistics and
-the replication check share one forward sweep of path counts
-(``_absorption_sweep``).  All values are dyadic rationals, stored as
+built a run between two squares of n + l at a time (``_strip_widths``).
+Value tables are built by backward induction over the strip; absorption
+statistics and the replication check share one forward sweep of path
+counts (``_absorption_sweep``).  All values are dyadic rationals, stored as
 integer numerators against a per-level power-of-two scale, so nothing is
 ever rounded.  Every value read out as a Fraction is built by
 ``_dyadic``: num / 2**bits has lowest terms (num >> z) / 2**(bits - z),
@@ -81,21 +81,32 @@ def _absorbed_payoff(s: int) -> int:
 def _strip_widths(l: int, horizon: int) -> list[int]:
     """Half-width w_n of the live strip for n = 0..horizon, -1 once empty.
 
-    Round n can widen the strip by one step from round n - 1, up to the
-    boundary radius isqrt(n + l) - 1, and keeps the parity of n.  Every
-    table and sweep starts here, so this refuses a horizon below 1.
+    Round n widens the strip by at most one step, up to the boundary
+    radius c_n = isqrt(n + l) - 1, and keeps the parity of n: w_n =
+    u_n(min(c_n, w_{n-1} + 1)), u_n(v) = v - (v - n) % 2.  As w_{n-1} + 1
+    has n's parity and c_n <= c_{n-1} + 1, induction gives w_n =
+    min(n, u_n(c_n)) while the strip lives.  For l <= 2, u_1(c_1) = -1
+    empties it from round 1; for l >= 3, c_n >= 1 and it never empties.
+    Between squares of n + l, c_n is one c: w_n is n below c, then
+    alternates c and c - 1, so each run is built by list operations and
+    one isqrt serves the strip.  Every table and sweep starts here, so
+    this refuses a horizon below 1.
     """
     if horizon < 1:
         raise PricingError("horizon must be >= 1")
     if l < 0:
         raise PricingError("offset l must be >= 0")
+    if l <= 2:
+        return [0] + [-1] * horizon
     widths = [0]
-    for n in range(1, horizon + 1):
-        w = widths[-1]
-        if w >= 0:
-            w = min(isqrt(n + l) - 1, w + 1)
-            w -= (w - n) % 2
-        widths.append(w)
+    n, r = 1, isqrt(1 + l)
+    while n <= horizon:
+        c, end = r - 1, min((r + 1) ** 2 - l, horizon + 1)  # rounds n..end-1 have c_n = c
+        k = min(max(n, c), end)
+        widths += range(n, k)  # below c the strip widens a step a round
+        pair = [c, c - 1] if (c - k) % 2 == 0 else [c - 1, c]
+        widths += pair * ((end - k) // 2) + pair[:(end - k) % 2]
+        n, r = end, r + 1
     return widths
 
 

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from . import pricing
 from .game import (ZERO, _mul_lowest, number, parse_moves, settle, settle_product, spec_args,
                    spec_value, validate_move, zero)
+from .pricing import _dyadic
 from .stopping import boundary_exceeds
 
 
@@ -373,6 +374,9 @@ def truncated_q(depth: int = 20, exact: bool = True) -> Mixture:
     return Mixture(comps, tail_weight=Fraction(1, 1 << depth), exact=exact)
 
 
+_IDLE = (0, ZERO)  # the stake of a sign-forcing round with no hedge running
+
+
 class ExcursionOutcome(NamedTuple):
     """Record of one excursion the sign-forcing bettor saw end."""
 
@@ -405,10 +409,14 @@ class SignForcing(Strategy):
     (up - down) / 2**(horizon - n + 1) with n >= 0, so its reduced
     denominator divides 2**(horizon + 1), and W_w times it has a
     denominator dividing D: every stake of the hedge is an integer over D,
-    and each round settles an int.  ``_stake()`` hands out the stake
-    W_w * bet, the one Fraction reduced a round, and pends its numerator
-    over D.  As ``_den`` moves, ``reality.worst_case`` folds this account
-    on ``wealth``, not on numerators.
+    and each round settles an int.  The wealth starts at 1 and moves only
+    by such stakes, so W_w = a / 2**p: the re-base records p and refuses
+    any other W_w.  ``_stake()`` hands out W_w * bet = a * t / 2**(p + q)
+    for a bet t / 2**q, built by ``pricing._dyadic`` with no gcd, and
+    pends a * t shifted left onto D; a bet off that scale is refused
+    unless its stake is still an integer over D.  As ``_den`` moves,
+    ``reality.worst_case`` folds this account on ``wealth``, not on
+    numerators.
     """
 
     _numerator = None  # numerators over different re-bases are not comparable
@@ -420,14 +428,20 @@ class SignForcing(Strategy):
         self.excursion_log: list[ExcursionOutcome] = []
         self._w = None  # the round the current excursion began; None while waiting for it
         self._w_wealth = None
+        self._w_bits = None  # p, with W_w = a / 2**p, while a hedge runs
         self._table = None  # the running hedge's value table; None bets nothing
 
     def _stake(self):
-        if self._table is None:  # the account's zero, handed out as a Fraction
-            return 0, ZERO
-        rel = self.n - self._w
-        w, bet = self._w_wealth, pricing.delta_hedge_bet(self._table, rel, self.s)
-        value = _mul_lowest(w.numerator, w.denominator, bet.numerator, bet.denominator)
+        if self._table is None:
+            return _IDLE
+        bet = pricing.delta_hedge_bet(self._table, self.n - self._w, self.s)
+        b = bet.denominator
+        bits = self._w_bits + b.bit_length() - 1  # p + q, for a bet t / 2**q
+        shift = self._den.bit_length() - 1 - bits  # D is 2**(p + horizon + 1)
+        if shift >= 0 and not b & (b - 1):
+            num = self._w_wealth.numerator * bet.numerator
+            return num << shift, _dyadic(num, bits)
+        value = self._w_wealth * bet  # a bet off the hedge's scale
         scale, rest = divmod(self._den, value.denominator)
         if rest:  # never truncate a stake: see the class docstring
             raise StrategyError(f"stake {value} is not an integer over the account's {self._den}")
@@ -447,17 +461,21 @@ class SignForcing(Strategy):
             self._table = None
 
     def _start_excursion(self) -> None:
-        w = self.n
+        w, wealth = self.n, self.wealth
         horizon = min(self.hedge_cap, max(64, 8 * w))
         if self.run_horizon is not None:
             horizon = min(horizon, self.run_horizon - w)
-        self._w = w
-        self._w_wealth = wealth = self.wealth
         if horizon >= 2 * w:
+            bits = wealth.denominator.bit_length() - 1
+            if wealth.denominator != 1 << bits:
+                raise StrategyError(f"wealth {wealth} at the origin return n={w} is not "
+                                    f"dyadic: its hedge's stakes have no common scale")
             self._table = pricing.eta_table(w, horizon, "half")
+            self._w_bits = bits
             # re-base: the initial capital 1 and the wealth over D
             self._den = self._w0 = den = wealth.denominator << (horizon + 1)
             self._k = (wealth.numerator << (horizon + 1)) - den
+        self._w, self._w_wealth = w, wealth
 
     def clone(self) -> "SignForcing":
         new = super().clone()

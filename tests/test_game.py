@@ -399,6 +399,51 @@ def test_settle_keeps_the_bits_at_the_float_edges(k, stake, x):
     assert struct.pack("<d", settle(k, stake, x)) == struct.pack("<d", k + stake * x)
 
 
+# -- settle's zero contract: an exact idle round adds nothing -------------------
+
+_BIG = 1 << 1000  # past the small-int cache, so `is` tells k itself from a sum equal to it
+_SETTLE_ACCOUNTS = (_BIG, -3, 0, Fraction(_BIG, 3), Fraction(-7, 1 << 70), Fraction(0),
+                    1.5, -0.0, 0.0, -1e300)
+_SETTLE_STAKES = (0, Fraction(0), 0.0, -0.0, 2, -_BIG, Fraction(-1, 3), 0.25, -1e-300)
+
+
+def _returns_k(k, stake) -> bool:
+    """The pairings whose zero stake settle returns as k itself: an int
+    zero on an int or Fraction account, a Fraction zero on a Fraction one."""
+    return not stake and (type(stake) is int and type(k) in (int, Fraction)
+                          or type(stake) is Fraction is type(k))
+
+
+def settle_zero_faults():
+    """The (k, stake, x) of the pairings above at which game.settle breaks
+    its contract: k itself where _returns_k, else k + stake * x in type,
+    in value and, for a float, in bits."""
+    faults = []
+    for k in _SETTLE_ACCOUNTS:
+        for stake in _SETTLE_STAKES:
+            for x in (-1, 1):
+                got, want = game.settle(k, stake, x), k + stake * x
+                if _returns_k(k, stake):
+                    ok = got is k
+                elif type(want) is float:
+                    ok = type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+                else:
+                    ok = type(got) is type(want) and got == want
+                if not ok:
+                    faults.append((k, stake, x))
+    return faults
+
+
+def test_settle_keeps_its_zero_contract():
+    assert not settle_zero_faults()
+    frac = Fraction(_BIG, 3)
+    for x in (-1, 1):
+        assert settle(_BIG, 0, x) is _BIG
+        assert settle(frac, Fraction(0), x) is frac
+        assert type(settle(frac, 0.0, x)) is float
+        assert struct.pack("<d", settle(-0.0, 0.0, x)) == struct.pack("<d", -0.0 + 0.0 * x)
+
+
 # -- settle_product: the wealth times a factor in lowest terms -----------------
 
 # parts of 1, about 2**64 and past 14,400 bits; 6**k shares factors with the

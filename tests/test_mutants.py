@@ -24,13 +24,15 @@ from faircoin.verify import VerifyError, exhaustive, product_capital
 from test_cli import (census_lines_are_json_dumps_of_the_counts,
                       census_prints_past_the_digit_floor,
                       price_lines_are_json_dumps_of_the_table_roots)
-from test_game import _csv_writer_text, _json_dumps_text, mulc_stake_faults, product_faults
+from test_game import (_csv_writer_text, _json_dumps_text, mulc_stake_faults, product_faults,
+                       settle_zero_faults)
 from test_pricing import (dyadic_faults, half_table_is_the_mean_of_the_full_tables,
                           series_lines_are_the_json_lines, series_matches_the_two_sided_sweep,
-                          upper_bracket_roots_are_the_table_roots)
+                          strip_width_faults, upper_bracket_roots_are_the_table_roots)
 from test_reality import hedging_sign_forcing, plain_minimax
 from test_strategies import (mixture_paths_off_their_parts, moving_stopped_bettors,
-                             sign_forcing_settlement_faults, unsound_keys)
+                             sign_forcing_settlement_faults, sign_forcing_stake_faults,
+                             unsound_keys)
 
 # -- mutants: each takes a monkeypatch and breaks one thing ------------------
 
@@ -93,6 +95,18 @@ def sign_forcing_rebase_keeps_the_old_w0(patch):
         w0 = self._w0
         start(self)
         self._w0 = w0
+    patch.setattr(SignForcing, "_start_excursion", mutant)
+
+
+def sign_forcing_wealth_exponent_one_too_high(patch):
+    # W_w read as a / 2**(p + 1): every hedged stake, and its pended
+    # numerator, half what it should be
+    start = SignForcing._start_excursion
+
+    def mutant(self):
+        start(self)
+        if self._table is not None:
+            self._w_bits += 1
     patch.setattr(SignForcing, "_start_excursion", mutant)
 
 
@@ -285,6 +299,32 @@ def settle_ignores_the_sign(patch):
     patch.setattr(strategies, "settle", mutant)
 
 
+def settle_returns_k_on_every_zero(patch):
+    # the float case dropped: a float zero no longer turns the account into
+    # a float, nor -0.0 into 0.0
+    settle = game.settle
+    patch.setattr(game, "settle", lambda k, stake, x: settle(k, stake, x) if stake else k)
+
+
+def strip_segment_ends_one_round_late(patch):
+    # pricing._strip_widths with each run of one radius taking the first
+    # round of the next
+    def mutant(l, horizon):
+        if l <= 2:
+            return [0] + [-1] * horizon
+        widths = [0]
+        n, r = 1, math.isqrt(1 + l)
+        while n <= horizon:
+            c, end = r - 1, min((r + 1) ** 2 - l + 1, horizon + 1)
+            k = min(max(n, c), end)
+            widths += range(n, k)
+            pair = [c, c - 1] if (c - k) % 2 == 0 else [c - 1, c]
+            widths += pair * ((end - k) // 2) + pair[:(end - k) % 2]
+            n, r = end, r + 1
+        return widths
+    patch.setattr(pricing, "_strip_widths", mutant)
+
+
 def series_reuses_values_on_even_horizons(patch):
     def mutant(l, horizon):
         powers = pricing._Powers2()
@@ -434,6 +474,18 @@ def dyadic_is_the_fraction_in_lowest_terms():
     return not dyadic_faults()
 
 
+def settle_keeps_its_zero_contract():
+    return not settle_zero_faults()
+
+
+def strip_widths_follow_the_recurrence():
+    return not strip_width_faults()
+
+
+def sign_forcing_stakes_are_the_public_product():
+    return not sign_forcing_stake_faults()
+
+
 def settle_product_is_the_public_product():
     return not product_faults()
 
@@ -569,6 +621,8 @@ MUTANTS = [
     (worst_case_folds_sign_forcing_on_numerators, worst_case_is_the_plain_minimax),
     (sign_forcing_settles_one_bit_off_scale, sign_forcing_settles_every_path),
     (sign_forcing_rebase_keeps_the_old_w0, sign_forcing_settles_every_path),
+    (sign_forcing_wealth_exponent_one_too_high, sign_forcing_stakes_are_the_public_product),
+    (sign_forcing_wealth_exponent_one_too_high, sign_forcing_settles_every_path),
     (half_table_mirror_drops_the_complement, half_table_is_the_mean_at_small_offsets),
     (dyadic_keeps_the_factors_of_two, dyadic_is_the_fraction_in_lowest_terms),
     (dyadic_shifts_one_bit_too_far, dyadic_is_the_fraction_in_lowest_terms),
@@ -594,6 +648,8 @@ MUTANTS = [
     (next_stake_leaves_no_pending_stake, additive_closed_form),
     (next_stake_pends_the_handed_out_value, additive_closed_form),
     (settle_ignores_the_sign, q_mixture_is_the_product_sum),
+    (settle_returns_k_on_every_zero, settle_keeps_its_zero_contract),
+    (strip_segment_ends_one_round_late, strip_widths_follow_the_recurrence),
     (series_reuses_values_on_even_horizons, series_lines_are_the_json_lines),
     (half_sweep_drops_the_centre_mirror, series_matches_the_two_sided_sweep),
     (series_live_mass_over_the_wrong_power, series_lines_are_the_json_lines),

@@ -261,6 +261,41 @@ def test_bracket_series_matches_eta_roots():
             assert b == direct and hash(b) == hash(direct)
 
 
+def recurrence_widths(l, horizon):
+    """The strip half-widths w_0..w_horizon by the recurrence, one isqrt a
+    round: w_n is w_{n-1} + 1 cut to the radius isqrt(n + l) - 1, then to
+    the parity of n, and -1 for ever once negative."""
+    widths = [0]
+    for n in range(1, horizon + 1):
+        w = widths[-1]
+        if w >= 0:
+            w = min(math.isqrt(n + l) - 1, w + 1)
+            w -= (w - n) % 2
+        widths.append(w)
+    return widths
+
+
+def strip_width_faults():
+    """The (l, horizon) at which _strip_widths differs from the recurrence,
+    for l = 0..120 at the horizons below and at each n to 1,100 with n + l
+    a square or one below one, where a segment of the closed form ends."""
+    faults = []
+    for l in range(121):
+        horizons = {1, 2, 3, 5, 64, 257, 1100}
+        horizons.update(n for j in range(1, 36) for n in (j * j - l - 1, j * j - l)
+                        if 1 <= n <= 1100)
+        oracle = recurrence_widths(l, 1100)
+        faults += [(l, h) for h in sorted(horizons)
+                   if pricing._strip_widths(l, h) != oracle[:h + 1]]
+    return faults
+
+
+def test_strip_widths_follow_the_recurrence():
+    assert not strip_width_faults()
+    assert pricing._strip_widths(2, 5) == [0, -1, -1, -1, -1, -1]  # empty from round 1 for l <= 2
+    assert pricing._strip_widths(3, 6) == [0, 1, 0, 1, 0, 1, 2]
+
+
 def two_sided_sweep(l, horizon):
     """The forward sweep over the whole live strip, both edges read apart:
     yield (counts, new_neg, new_pos) for n = 1..horizon, where counts[i]

@@ -553,6 +553,58 @@ def test_sign_forcing_refuses_a_stake_off_its_scale(monkeypatch):
     assert strat._pending is None
 
 
+def sign_forcing_stake_faults(depth=10, cap=64):
+    """The faults of the hedged stakes of SignForcing(hedge_cap=cap) on
+    every path of ``depth`` moves, one (moves so far, stake, want) each:
+    a hedged stake must be W_w * delta_hedge_bet(table, n - w, s) by the
+    public Fraction product, W_w the wealth at the origin return w, in
+    type, numerator and denominator, and the pended numerator over _den
+    must be that stake.  A walk that sees no hedged stake is a fault."""
+    faults, hedged = [], 0
+    for bits in range(1 << depth):
+        path = [1 if bits >> i & 1 else -1 for i in range(depth)]
+        strat = SignForcing(hedge_cap=cap)
+        w_wealth = strat.wealth
+        for x in path:
+            table = strat._table
+            want = None if table is None else (
+                w_wealth * pricing.delta_hedge_bet(table, strat.n - strat._w, strat.s))
+            got = strat.next_stake()
+            if want is not None:
+                hedged += 1
+                if (type(got) is not Fraction or type(strat._pending) is not int
+                        or (got.numerator, got.denominator) != (want.numerator, want.denominator)
+                        or Fraction(strat._pending, strat._den) != want):
+                    faults.append((path[:strat.n], got, want))
+            strat.observe(x)
+            if strat._w == strat.n:  # an origin return: the next excursion starts here
+                w_wealth = strat.wealth
+    return faults if hedged else [((), None, "no hedged stake")]
+
+
+def test_sign_forcing_takes_an_off_scale_bet_whose_stake_is_on_it(monkeypatch):
+    # W_w = 3/2 after a hit below; a bet of 1/3 stakes 1/2, an integer over D
+    strat = SignForcing(hedge_cap=64)
+    feed(strat, [-1, 1, -1, 1])
+    assert (strat.wealth, strat._den) == (Fraction(3, 2), 2 << 65)
+    monkeypatch.setattr(pricing, "delta_hedge_bet", lambda *args: Fraction(1, 3))
+    assert strat.next_stake() == Fraction(1, 2) and strat._pending == 1 << 65
+
+
+def test_sign_forcing_stakes_are_the_public_product():
+    assert not sign_forcing_stake_faults()
+
+
+def test_sign_forcing_refuses_a_wealth_off_the_dyadic_scale():
+    # the wealth moves only by dyadic stakes; one over 3 cannot be re-based
+    strat = SignForcing(hedge_cap=64)
+    feed(strat, [1])
+    strat._den = 3  # the wealth 1 over 1 read as 1/3
+    strat.next_stake()
+    with pytest.raises(StrategyError, match=r"wealth 1/3 at the origin return n=2 is not dyadic"):
+        strat.observe(-1)
+
+
 def test_sign_forcing_wealth_never_negative():
     strat = SignForcing(hedge_cap=64)
     for x in [1, -1, -1, 1, 1, 1, -1, -1, -1, -1, 1, 1]:
