@@ -133,7 +133,7 @@ def settle(k, stake, x: int):
         return k + stake if x == 1 else k - stake
     if type(stake) is int and type(k) is not float or type(stake) is Fraction is type(k):
         return k
-    return k - stake if x == -1 and type(stake) is float else k + stake
+    return k + stake * x
 
 
 # a Fraction from coprime parts, with no gcd: Fraction(n, d, _normalize=False)

@@ -410,11 +410,11 @@ class SignForcing(Strategy):
     denominator divides 2**(horizon + 1), and W_w times it has a
     denominator dividing D: every stake of the hedge is an integer over D,
     and each round settles an int.  The wealth starts at 1 and moves only
-    by such stakes, so W_w = a / 2**p: the re-base records p and refuses
-    any other W_w.  ``_stake()`` hands out W_w * bet = a * t / 2**(p + q)
-    for a bet t / 2**q, built by ``pricing._dyadic`` with no gcd, and
-    pends a * t shifted left onto D; a bet off that scale is refused
-    unless its stake is still an integer over D.  As ``_den`` moves,
+    by such stakes, so W_w = a / 2**p and D = 2**(p + horizon + 1): the
+    re-base refuses any other W_w.  ``_stake()`` hands out
+    W_w * bet = a * t / 2**(p + q) for a bet t / 2**q, built by
+    ``pricing._dyadic`` with no gcd, and pends a * t shifted left onto D;
+    a bet off that scale is refused.  As ``_den`` moves,
     ``reality.worst_case`` folds this account on ``wealth``, not on
     numerators.
     """
@@ -428,7 +428,6 @@ class SignForcing(Strategy):
         self.excursion_log: list[ExcursionOutcome] = []
         self._w = None  # the round the current excursion began; None while waiting for it
         self._w_wealth = None
-        self._w_bits = None  # p, with W_w = a / 2**p, while a hedge runs
         self._table = None  # the running hedge's value table; None bets nothing
 
     def _stake(self):
@@ -436,16 +435,12 @@ class SignForcing(Strategy):
             return _IDLE
         bet = pricing.delta_hedge_bet(self._table, self.n - self._w, self.s)
         b = bet.denominator
-        bits = self._w_bits + b.bit_length() - 1  # p + q, for a bet t / 2**q
-        shift = self._den.bit_length() - 1 - bits  # D is 2**(p + horizon + 1)
-        if shift >= 0 and not b & (b - 1):
-            num = self._w_wealth.numerator * bet.numerator
-            return num << shift, _dyadic(num, bits)
-        value = self._w_wealth * bet  # a bet off the hedge's scale
-        scale, rest = divmod(self._den, value.denominator)
-        if rest:  # never truncate a stake: see the class docstring
-            raise StrategyError(f"stake {value} is not an integer over the account's {self._den}")
-        return value.numerator * scale, value
+        shift = self._table.horizon + 2 - b.bit_length()  # horizon + 1 - q, for a bet t / 2**q
+        if shift < 0 or b & (b - 1):  # never truncate a stake: see the class docstring
+            raise StrategyError(f"stake {self._w_wealth * bet} is not an integer over "
+                                f"the account's {self._den}")
+        num = self._w_wealth.numerator * bet.numerator
+        return num << shift, _dyadic(num, self._den.bit_length() - 1 - shift)  # p + q bits
 
     def _after(self, x: int) -> None:
         if self._w is None:
@@ -471,7 +466,6 @@ class SignForcing(Strategy):
                 raise StrategyError(f"wealth {wealth} at the origin return n={w} is not "
                                     f"dyadic: its hedge's stakes have no common scale")
             self._table = pricing.eta_table(w, horizon, "half")
-            self._w_bits = bits
             # re-base: the initial capital 1 and the wealth over D
             self._den = self._w0 = den = wealth.denominator << (horizon + 1)
             self._k = (wealth.numerator << (horizon + 1)) - den

@@ -99,14 +99,14 @@ def sign_forcing_rebase_keeps_the_old_w0(patch):
 
 
 def sign_forcing_wealth_exponent_one_too_high(patch):
-    # W_w read as a / 2**(p + 1): every hedged stake, and its pended
-    # numerator, half what it should be
+    # W_w read as a / 2**(p + 1): the account re-based onto 2 * D, so every
+    # hedged stake, and its pended numerator, is half what it should be
     start = SignForcing._start_excursion
 
     def mutant(self):
         start(self)
         if self._table is not None:
-            self._w_bits += 1
+            self._den, self._w0, self._k = 2 * self._den, 2 * self._w0, 2 * self._k
     patch.setattr(SignForcing, "_start_excursion", mutant)
 
 

@@ -582,15 +582,6 @@ def sign_forcing_stake_faults(depth=10, cap=64):
     return faults if hedged else [((), None, "no hedged stake")]
 
 
-def test_sign_forcing_takes_an_off_scale_bet_whose_stake_is_on_it(monkeypatch):
-    # W_w = 3/2 after a hit below; a bet of 1/3 stakes 1/2, an integer over D
-    strat = SignForcing(hedge_cap=64)
-    feed(strat, [-1, 1, -1, 1])
-    assert (strat.wealth, strat._den) == (Fraction(3, 2), 2 << 65)
-    monkeypatch.setattr(pricing, "delta_hedge_bet", lambda *args: Fraction(1, 3))
-    assert strat.next_stake() == Fraction(1, 2) and strat._pending == 1 << 65
-
-
 def test_sign_forcing_stakes_are_the_public_product():
     assert not sign_forcing_stake_faults()
 
