@@ -461,8 +461,7 @@ class SignForcing(Strategy):
         if self.run_horizon is not None:
             horizon = min(horizon, self.run_horizon - w)
         if horizon >= 2 * w:
-            bits = wealth.denominator.bit_length() - 1
-            if wealth.denominator != 1 << bits:
+            if wealth.denominator & (wealth.denominator - 1):
                 raise StrategyError(f"wealth {wealth} at the origin return n={w} is not "
                                     f"dyadic: its hedge's stakes have no common scale")
             self._table = pricing.eta_table(w, horizon, "half")
